@@ -1,7 +1,9 @@
 #include "bench_common.hh"
 
 #include <cmath>
+#include <fstream>
 #include <iostream>
+#include <sstream>
 
 namespace abndp
 {
@@ -86,6 +88,89 @@ printBanner(const std::string &artifact, const std::string &paper)
     std::cout << "ABNDP reproduction: " << artifact << "\n";
     std::cout << "Paper reports: " << paper << "\n";
     std::cout << "==============================================================\n\n";
+}
+
+std::vector<std::string>
+designHeader(const std::string &first, const std::vector<Design> &designs)
+{
+    std::vector<std::string> header{first};
+    for (Design d : designs)
+        header.push_back(designName(d));
+    return header;
+}
+
+std::vector<std::string>
+splitCsv(const std::string &s)
+{
+    std::vector<std::string> out;
+    std::istringstream iss(s);
+    std::string tok;
+    while (std::getline(iss, tok, ','))
+        if (!tok.empty())
+            out.push_back(tok);
+    return out;
+}
+
+bool
+extractJsonNumber(const std::string &json, const std::string &key,
+                  double &out)
+{
+    auto pos = json.find("\"" + key + "\":");
+    if (pos == std::string::npos)
+        return false;
+    pos += key.size() + 3;
+    try {
+        out = std::stod(json.substr(pos));
+    } catch (...) {
+        return false;
+    }
+    return true;
+}
+
+void
+emitJsonRecord(const std::string &json, const std::string &outPath)
+{
+    std::cout << json << "\n";
+    if (outPath.empty())
+        return;
+    std::ofstream out(outPath);
+    if (!out)
+        fatal("cannot write ", outPath);
+    out << json << "\n";
+}
+
+int
+compareEventsPerSec(const Options &opts, const std::string &bench,
+                    double eventsPerSec)
+{
+    const std::string comparePath = opts.flags.getString("compare", "");
+    if (comparePath.empty())
+        return 0;
+    double tolerance = opts.flags.getDouble("tolerance", 0.10);
+    std::ifstream baseFile(comparePath);
+    std::string baseline;
+    if (!baseFile || !std::getline(baseFile, baseline)) {
+        warn(bench, " baseline ", comparePath,
+             " missing; skipping comparison (first run?)");
+        return 0;
+    }
+    double baseEps = 0.0;
+    if (!extractJsonNumber(baseline, "events_per_sec", baseEps)
+        || baseEps <= 0.0) {
+        warn(bench, " baseline ", comparePath,
+             " has no usable events_per_sec; skipping comparison");
+        return 0;
+    }
+    double ratio = eventsPerSec / baseEps;
+    std::cerr << bench << " compare: " << eventsPerSec
+              << " vs baseline " << baseEps << " events/sec (x" << ratio
+              << ", tolerance -" << tolerance * 100 << "%)\n";
+    if (ratio < 1.0 - tolerance) {
+        std::cerr << bench << ": throughput regression beyond "
+                  << tolerance * 100 << "% tolerance\n";
+        return 1;
+    }
+    return 0;
 }
 
 } // namespace bench

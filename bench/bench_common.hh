@@ -73,6 +73,34 @@ double geomean(const std::vector<double> &values);
  */
 void printBanner(const std::string &artifact, const std::string &paper);
 
+/** Table header: @p first, then designName() of every design. */
+std::vector<std::string> designHeader(const std::string &first,
+                                      const std::vector<Design> &designs);
+
+/** Split a comma-separated flag value; empty fields are dropped. */
+std::vector<std::string> splitCsv(const std::string &s);
+
+/**
+ * Extract the number after "\"key\":" from a one-line JSON record.
+ * @return false when the key is absent (malformed baseline).
+ */
+bool extractJsonNumber(const std::string &json, const std::string &key,
+                       double &out);
+
+/** Print a one-line JSON record; also write it to @p outPath (--out). */
+void emitJsonRecord(const std::string &json, const std::string &outPath);
+
+/**
+ * The --compare=FILE throughput guard of the host-performance benches:
+ * checks @p eventsPerSec against the events_per_sec of a baseline line
+ * written by a previous --out run. A missing or unparsable baseline
+ * warns and passes, so the first CI run on a fresh cache succeeds.
+ * @return the exit code: 1 when throughput regressed by more than
+ *         --tolerance (default 0.10), else 0.
+ */
+int compareEventsPerSec(const Options &opts, const std::string &bench,
+                        double eventsPerSec);
+
 /** Shorthand formatter. */
 inline std::string
 fmt(double v, int prec = 2)

@@ -24,12 +24,7 @@ main(int argc, char **argv)
     const auto &workloads = allWorkloadNames();
     const auto &designs = allDesigns();
 
-    TextTable table([&] {
-        std::vector<std::string> header{"workload"};
-        for (Design d : designs)
-            header.push_back(designName(d));
-        return header;
-    }());
+    TextTable table(designHeader("workload", designs));
 
     std::vector<CellSpec> grid;
     for (const auto &wl : workloads) {

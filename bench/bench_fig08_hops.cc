@@ -22,12 +22,7 @@ main(int argc, char **argv)
     const auto &workloads = representativeWorkloadNames();
     const auto &designs = ndpDesigns();
 
-    TextTable table([&] {
-        std::vector<std::string> header{"workload"};
-        for (Design d : designs)
-            header.push_back(designName(d));
-        return header;
-    }());
+    TextTable table(designHeader("workload", designs));
 
     std::vector<CellSpec> grid;
     for (const auto &wl : workloads) {

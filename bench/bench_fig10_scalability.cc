@@ -30,8 +30,8 @@ main(int argc, char **argv)
     WorkloadSpec spec = specFor("pr", opts);
     const auto &designs = ndpDesigns();
 
-    TextTable speed({"mesh", "B", "Sm", "Sl", "Sh", "C", "O"});
-    TextTable energy({"mesh", "B", "Sm", "Sl", "Sh", "C", "O"});
+    TextTable speed(designHeader("mesh", designs));
+    TextTable energy(designHeader("mesh", designs));
     std::map<std::string, double> oTicks;
 
     for (std::uint32_t dim : {2u, 4u, 8u}) {

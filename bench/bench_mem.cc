@@ -16,37 +16,11 @@
  */
 
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 
 #include "bench_common.hh"
-
-namespace
-{
-
-/**
- * Extract the number after "\"key\":" from a one-line JSON record.
- * @return false when the key is absent (malformed baseline).
- */
-bool
-extractJsonNumber(const std::string &json, const std::string &key,
-                  double &out)
-{
-    auto pos = json.find("\"" + key + "\":");
-    if (pos == std::string::npos)
-        return false;
-    pos += key.size() + 3;
-    try {
-        out = std::stod(json.substr(pos));
-    } catch (...) {
-        return false;
-    }
-    return true;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -132,6 +106,7 @@ main(int argc, char **argv)
     idx.print(std::cout);
 
     double wall = std::chrono::duration<double>(end - start).count();
+    double eventsPerSec = wall > 0 ? events / wall : 0;
     std::ostringstream json;
     json << "{\"bench\":\"mem\""
          << ",\"scale\":" << opts.scale
@@ -139,43 +114,8 @@ main(int argc, char **argv)
          << ",\"cells\":" << 10
          << ",\"sim_events\":" << events
          << ",\"wall_seconds\":" << wall
-         << ",\"events_per_sec\":" << (wall > 0 ? events / wall : 0)
+         << ",\"events_per_sec\":" << eventsPerSec
          << "}";
-    std::cout << json.str() << "\n";
-    if (!outPath.empty()) {
-        std::ofstream out(outPath);
-        if (!out)
-            fatal("cannot write ", outPath);
-        out << json.str() << "\n";
-    }
-
-    const std::string comparePath = opts.flags.getString("compare", "");
-    if (!comparePath.empty()) {
-        double tolerance = opts.flags.getDouble("tolerance", 0.10);
-        std::ifstream baseFile(comparePath);
-        std::string baseline;
-        if (!baseFile || !std::getline(baseFile, baseline)) {
-            warn("mem baseline ", comparePath,
-                 " missing; skipping comparison (first run?)");
-            return 0;
-        }
-        double baseEps = 0.0;
-        if (!extractJsonNumber(baseline, "events_per_sec", baseEps)
-            || baseEps <= 0.0) {
-            warn("mem baseline ", comparePath,
-                 " has no usable events_per_sec; skipping comparison");
-            return 0;
-        }
-        double curEps = wall > 0 ? events / wall : 0;
-        double ratio = curEps / baseEps;
-        std::cerr << "bench_mem compare: " << curEps << " vs baseline "
-                  << baseEps << " events/sec (x" << ratio
-                  << ", tolerance -" << tolerance * 100 << "%)\n";
-        if (ratio < 1.0 - tolerance) {
-            std::cerr << "bench_mem: throughput regression beyond "
-                      << tolerance * 100 << "% tolerance\n";
-            return 1;
-        }
-    }
-    return 0;
+    emitJsonRecord(json.str(), outPath);
+    return compareEventsPerSec(opts, "bench_mem", eventsPerSec);
 }

@@ -22,50 +22,11 @@
  */
 
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 
 #include "bench_common.hh"
-
-namespace
-{
-
-/**
- * Extract the number after "\"key\":" from a one-line JSON record.
- * @return false when the key is absent (malformed baseline).
- */
-bool
-extractJsonNumber(const std::string &json, const std::string &key,
-                  double &out)
-{
-    auto pos = json.find("\"" + key + "\":");
-    if (pos == std::string::npos)
-        return false;
-    pos += key.size() + 3;
-    try {
-        out = std::stod(json.substr(pos));
-    } catch (...) {
-        return false;
-    }
-    return true;
-}
-
-/** Split a comma-separated flag value; empty fields are dropped. */
-std::vector<std::string>
-splitCsv(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::istringstream iss(s);
-    std::string tok;
-    while (std::getline(iss, tok, ','))
-        if (!tok.empty())
-            out.push_back(tok);
-    return out;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -100,12 +61,14 @@ main(int argc, char **argv)
     auto end = std::chrono::steady_clock::now();
 
     double wall = std::chrono::duration<double>(end - start).count();
+
     std::uint64_t events = 0;
     std::uint64_t tasks = 0;
     for (const RunMetrics &m : results) {
         events += m.simEvents;
         tasks += m.tasks;
     }
+    double eventsPerSec = wall > 0 ? events / wall : 0;
 
     std::uint32_t threads = opts.threads ? opts.threads
                                          : defaultThreads();
@@ -126,45 +89,9 @@ main(int argc, char **argv)
          << ",\"sim_tasks\":" << tasks
          << ",\"wall_seconds\":" << wall
          << ",\"cells_per_sec\":" << (wall > 0 ? grid.size() / wall : 0)
-         << ",\"events_per_sec\":" << (wall > 0 ? events / wall : 0)
+         << ",\"events_per_sec\":" << eventsPerSec
          << "}";
 
-    std::cout << json.str() << "\n";
-    if (!outPath.empty()) {
-        std::ofstream out(outPath);
-        if (!out)
-            fatal("cannot write ", outPath);
-        out << json.str() << "\n";
-    }
-
-    const std::string comparePath =
-        opts.flags.getString("compare", "");
-    if (!comparePath.empty()) {
-        double tolerance = opts.flags.getDouble("tolerance", 0.10);
-        std::ifstream baseFile(comparePath);
-        std::string baseline;
-        if (!baseFile || !std::getline(baseFile, baseline)) {
-            warn("perf baseline ", comparePath,
-                 " missing; skipping comparison (first run?)");
-            return 0;
-        }
-        double baseEps = 0.0;
-        if (!extractJsonNumber(baseline, "events_per_sec", baseEps)
-            || baseEps <= 0.0) {
-            warn("perf baseline ", comparePath,
-                 " has no usable events_per_sec; skipping comparison");
-            return 0;
-        }
-        double curEps = wall > 0 ? events / wall : 0;
-        double ratio = curEps / baseEps;
-        std::cerr << "perf_smoke compare: " << curEps << " vs baseline "
-                  << baseEps << " events/sec (x" << ratio
-                  << ", tolerance -" << tolerance * 100 << "%)\n";
-        if (ratio < 1.0 - tolerance) {
-            std::cerr << "perf_smoke: throughput regression beyond "
-                      << tolerance * 100 << "% tolerance\n";
-            return 1;
-        }
-    }
-    return 0;
+    emitJsonRecord(json.str(), outPath);
+    return compareEventsPerSec(opts, "perf_smoke", eventsPerSec);
 }

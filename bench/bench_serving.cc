@@ -32,44 +32,11 @@
 namespace
 {
 
-/**
- * Extract the number after "\"key\":" from a one-line JSON record.
- * @return false when the key is absent (malformed baseline).
- */
-bool
-extractJsonNumber(const std::string &json, const std::string &key,
-                  double &out)
-{
-    auto pos = json.find("\"" + key + "\":");
-    if (pos == std::string::npos)
-        return false;
-    pos += key.size() + 3;
-    try {
-        out = std::stod(json.substr(pos));
-    } catch (...) {
-        return false;
-    }
-    return true;
-}
-
-/** Split a comma-separated flag value; empty fields are dropped. */
-std::vector<std::string>
-splitCsv(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::istringstream iss(s);
-    std::string tok;
-    while (std::getline(iss, tok, ','))
-        if (!tok.empty())
-            out.push_back(tok);
-    return out;
-}
-
 std::vector<double>
 parseCsvDoubles(const std::string &s)
 {
     std::vector<double> out;
-    for (const std::string &tok : splitCsv(s))
+    for (const std::string &tok : abndp::bench::splitCsv(s))
         out.push_back(std::strtod(tok.c_str(), nullptr));
     return out;
 }
@@ -166,13 +133,7 @@ main(int argc, char **argv)
     json << "}";
     table.print(std::cout);
 
-    std::cout << json.str() << "\n";
-    if (!outPath.empty()) {
-        std::ofstream out(outPath);
-        if (!out)
-            fatal("cannot write ", outPath);
-        out << json.str() << "\n";
-    }
+    emitJsonRecord(json.str(), outPath);
 
     const std::string comparePath =
         opts.flags.getString("compare", "");

@@ -3,7 +3,7 @@
  * abndp_sim — the command-line simulator front end.
  *
  * Runs any workload under any Table-2 design on any system geometry and
- * prints a summary, a gem5-style statistics dump (--stats), or machine-
+ * prints a summary, the stats-registry dump (--stats), or machine-
  * readable JSON (--json). This is the binary a user scripts sweeps with.
  *
  * Examples:
@@ -31,13 +31,23 @@ namespace
 void
 printUsage()
 {
+    using namespace abndp;
+    std::string workloads;
+    for (const auto &name : allWorkloadNames())
+        workloads += name + "|";
+    // kv, the serving microbenchmark, is not in the Figure-6 suite.
+    workloads += "kv";
+    std::string designs;
+    for (Design d : allDesigns())
+        designs += std::string(designs.empty() ? "" : "|") + designName(d);
+
     std::cout <<
         "abndp_sim — ABNDP system simulator\n"
         "\n"
-        "Workload:   --workload=pr|bfs|sssp|astar|gcn|kmeans|knn|spmv\n"
+        "Workload:   --workload=" << workloads << "\n" <<
         "            --scale=N (graph: 2^N vertices) --edge-factor=N\n"
         "            --seed=N --max-epochs=N --verify\n"
-        "Design:     --design=H|B|Sm|Sl|Sh|C|O (Table 2)\n"
+        "Design:     --design=" << designs << "\n" <<
         "System:     --mesh=N (NxN stacks) --units-per-stack=N\n"
         "            --cores-per-unit=N --mem-mb=N\n"
         "Traveller:  --camps=C --ratio=R (cache = 1/R of local DRAM)\n"
@@ -48,9 +58,8 @@ printUsage()
         "Inputs:     --graph-file=PATH (SNAP edge list)\n"
         "            --points/--knn-points/--queries/--astar-queries\n"
         "            --explicit-hints (programmer hint.workload)\n"
-        "Output:     --stats (full dump) --json --print-config\n"
-        "            --trace=FILE (per-epoch CSV) --heatmap\n"
-        "            --stats-registry (hierarchical registry dump)\n"
+        "Output:     --stats (registry dump + host time) --json\n"
+        "            --print-config --trace=FILE (per-epoch CSV) --heatmap\n"
         "            --stats-interval=N (dump deltas every N epochs)\n"
         "            --stats-out=FILE (interval dump target)\n"
         "            --trace-out=FILE (Chrome/Perfetto trace JSON)\n"
@@ -150,12 +159,8 @@ main(int argc, char **argv)
             std::cout << "\n";
             return 0;
         }
-        if (flags.getBool("stats-registry", false)) {
-            sys.statsRegistry().dump(std::cout);
-            return 0;
-        }
         if (flags.getBool("stats", false)) {
-            dumpStats(std::cout, sys, m);
+            printStats(std::cout, sys, m);
             if (flags.getBool("heatmap", false))
                 dumpHeatmap(std::cout, cfg, m);
             return 0;

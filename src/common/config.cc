@@ -137,6 +137,9 @@ SystemConfig::validate() const
             fatal("traveller tagCheckNs and sramDataNs must be "
                   "non-negative");
     }
+    if (prefetchBufBytes < cachelineBytes)
+        fatal("prefetchBufBytes must hold at least one ", cachelineBytes,
+              "B block, got ", prefetchBufBytes);
     if (pbHitNs < 0.0)
         fatal("pbHitNs must be non-negative, got ", pbHitNs);
     if (l1iMissNs < 0.0)

@@ -23,49 +23,5 @@ Distribution::stddev() const
     return std::sqrt(variance());
 }
 
-void
-StatGroup::addCounter(const std::string &n, const Counter *c)
-{
-    abndp_assert(counters.emplace(n, c).second, "duplicate counter ", n);
-}
-
-void
-StatGroup::addScalar(const std::string &n, const Scalar *s)
-{
-    abndp_assert(scalars.emplace(n, s).second, "duplicate scalar ", n);
-}
-
-void
-StatGroup::addDistribution(const std::string &n, const Distribution *d)
-{
-    abndp_assert(distributions.emplace(n, d).second,
-                 "duplicate distribution ", n);
-}
-
-void
-StatGroup::addChild(const StatGroup *g)
-{
-    children.push_back(g);
-}
-
-void
-StatGroup::dump(std::ostream &os, const std::string &prefix) const
-{
-    std::string base = prefix.empty() ? _name : prefix + "." + _name;
-    for (const auto &[n, c] : counters)
-        os << base << "." << n << " " << c->value() << "\n";
-    for (const auto &[n, s] : scalars)
-        os << base << "." << n << " " << s->value() << "\n";
-    for (const auto &[n, d] : distributions) {
-        os << base << "." << n << ".samples " << d->samples() << "\n";
-        os << base << "." << n << ".mean " << d->mean() << "\n";
-        os << base << "." << n << ".min " << d->min() << "\n";
-        os << base << "." << n << ".max " << d->max() << "\n";
-        os << base << "." << n << ".stddev " << d->stddev() << "\n";
-    }
-    for (const auto *g : children)
-        g->dump(os, base);
-}
-
 } // namespace stats
 } // namespace abndp

@@ -1,18 +1,16 @@
 /**
  * @file
- * Lightweight statistics framework in the spirit of gem5's Stats package.
+ * Statistic primitives in the spirit of gem5's Stats package.
  *
- * Components own named counters/scalars/distributions, register them in a
- * StatGroup, and the experiment driver snapshots or prints the full tree.
+ * Components own counters, scalars, distributions and histograms, and
+ * register them under a node of the per-system obs::StatsRegistry
+ * (obs/stats_registry.hh), which names, dumps and diffs them.
  */
 
 #ifndef ABNDP_COMMON_STATS_HH
 #define ABNDP_COMMON_STATS_HH
 
 #include <cstdint>
-#include <map>
-#include <ostream>
-#include <string>
 #include <vector>
 
 #include "common/logging.hh"
@@ -136,33 +134,6 @@ class Histogram
     std::vector<std::uint64_t> bins;
     std::uint64_t under = 0;
     std::uint64_t over = 0;
-};
-
-/**
- * A named, hierarchical group of statistics. Children register themselves
- * by name; dump() prints the tree as "group.sub.stat value" lines.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name_) : _name(std::move(name_)) {}
-
-    const std::string &name() const { return _name; }
-
-    void addCounter(const std::string &n, const Counter *c);
-    void addScalar(const std::string &n, const Scalar *s);
-    void addDistribution(const std::string &n, const Distribution *d);
-    void addChild(const StatGroup *g);
-
-    /** Print all stats in this group and its children. */
-    void dump(std::ostream &os, const std::string &prefix = "") const;
-
-  private:
-    std::string _name;
-    std::map<std::string, const Counter *> counters;
-    std::map<std::string, const Scalar *> scalars;
-    std::map<std::string, const Distribution *> distributions;
-    std::vector<const StatGroup *> children;
 };
 
 } // namespace stats

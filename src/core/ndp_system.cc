@@ -1169,15 +1169,116 @@ NdpSystem::run(Workload &wl)
 {
     abndp_assert(workload == nullptr,
                  "NdpSystem::run() may be called once");
-    return cfg.serving.enabled() ? serveRun(wl) : batchRun(wl);
-}
-
-RunMetrics
-NdpSystem::batchRun(Workload &wl)
-{
     // Host-side self-measurement (simulator throughput). Wall-clock is
     // reporting only and never feeds back into simulation state.
     const auto hostStart = std::chrono::steady_clock::now();
+
+    RunMetrics m;
+    if (cfg.serving.enabled())
+        serveRun(wl);
+    else
+        batchRun(wl, m);
+
+    energy.finalizeStatic(lastCompletionTick);
+    harvestMetrics(m);
+
+    if (checker)
+        checker->onRunEnd(m);
+
+    if (!cfg.traceOut.empty()) {
+        std::ofstream tf(cfg.traceOut);
+        if (!tf)
+            fatal("cannot open trace output file: ", cfg.traceOut);
+        tracer.exportChromeJson(tf);
+    }
+
+    m.hostSeconds = std::chrono::duration<double>(
+        std::chrono::steady_clock::now() - hostStart).count();
+    return m;
+}
+
+void
+NdpSystem::harvestMetrics(RunMetrics &m)
+{
+    m.ticks = lastCompletionTick;
+    m.epochs = servingMode ? servingWindows : epochsDone;
+    m.tasks = totalTasks;
+    m.interHops = mem.network().totalInterHops();
+    m.intraTraversals = mem.network().totalIntraTraversals();
+    m.energy = energy.breakdown();
+    m.campHits = mem.campHits();
+    m.campMisses = mem.campMisses();
+    m.cacheInserts = mem.cacheInsertions();
+    m.readLatMeanNs = mem.readLatencyNs().mean();
+    m.readLatMaxNs = mem.readLatencyNs().max();
+    m.stealAttempts = stealAttempts;
+    m.stolenTasks = stolenTasks;
+    m.forwardedTasks = forwardedTasks;
+    m.schedDecisions = sched.decisions();
+    for (UnitId u = 0; u < units.size(); ++u) {
+        const auto &unit = units[u];
+        m.pbHits += unit.pb->hits();
+        m.pbLateHits += unit.pb->lateHits();
+        m.pbMisses += unit.pb->misses();
+        for (const auto &core : unit.cores) {
+            m.coreActiveTicks.push_back(core.activeTicks);
+            m.l1Hits += core.l1d->hits();
+            m.l1Misses += core.l1d->misses();
+        }
+        m.dramReads += mem.dram(u).reads();
+        m.dramWrites += mem.dram(u).writes();
+        m.dramRowMisses += mem.dram(u).rowMisses();
+        m.dramRowHits += mem.dram(u).rowHits();
+        m.dramActStalls += mem.dram(u).actStalls();
+        m.dramEccRetries += mem.dram(u).eccRetries();
+    }
+    m.netDropped = mem.network().totalDropped();
+    m.netRetries = mem.network().totalRetries();
+    m.unitsFailed = everFailed
+        ? static_cast<std::uint64_t>(faults.failedUnits().size())
+        : 0;
+    m.tasksRecovered = tasksRecovered;
+    m.tasksRedispatched = tasksRedispatched;
+    m.recoveryTrafficBytes = recoveryTrafficBytes;
+    m.tasksShedIntra = tasksShedIntra;
+    m.tasksShedInter = tasksShedInter;
+    m.blocksMigrated = mem.blocksMigrated();
+    m.migrationInvalidations = mem.migrationInvalidations();
+    m.migrationTrafficBytes = mem.migrationTrafficBytes();
+    m.simEvents = eq.executed();
+
+    if (!servingMode)
+        return;
+    m.servingInjected = servingInjected;
+    m.servingRejected = servingRejected;
+    m.servingCompletedDirect = servingCompletedDirect;
+    m.servingCompletedRecovered = servingCompletedRecovered;
+    m.servingSloMisses = servingLat.sloMisses();
+    m.servingWindows = servingWindows;
+    m.servingP50Ns =
+        static_cast<double>(servingLat.percentile(0.50)) / ticksPerNs;
+    m.servingP95Ns =
+        static_cast<double>(servingLat.percentile(0.95)) / ticksPerNs;
+    m.servingP99Ns =
+        static_cast<double>(servingLat.percentile(0.99)) / ticksPerNs;
+    m.servingP999Ns =
+        static_cast<double>(servingLat.percentile(0.999)) / ticksPerNs;
+    m.servingMeanNs = servingLat.meanTicks() / ticksPerNs;
+    if (lastCompletionTick > 0) {
+        double ok = static_cast<double>(servingLat.samples()
+                                        - servingLat.sloMisses());
+        m.servingGoodputQps =
+            ok / (static_cast<double>(lastCompletionTick) * 1e-12);
+    }
+    if (servingInjected > 0)
+        m.servingSloMissRate =
+            static_cast<double>(servingRejected + servingLat.sloMisses())
+            / static_cast<double>(servingInjected);
+}
+
+void
+NdpSystem::batchRun(Workload &wl, RunMetrics &m)
+{
     workload = &wl;
     wl.setup(alloc);
 
@@ -1185,9 +1286,6 @@ NdpSystem::batchRun(Workload &wl)
     wl.emitInitialTasks(*this);
 
     std::uint64_t ts = 0;
-    std::vector<Tick> epoch_ticks;
-    std::vector<Tick> epoch_busy;
-    std::vector<std::uint64_t> epoch_tasks;
 
     // Optional per-epoch trace for offline plotting/debugging.
     std::ofstream trace;
@@ -1263,9 +1361,9 @@ NdpSystem::batchRun(Workload &wl)
         exchangeScheduled = false;
         for (auto &unit : units)
             unit.resetTransient();
-        epoch_ticks.push_back(lastCompletionTick - epoch_begin);
-        epoch_busy.push_back(epochBusy);
-        epoch_tasks.push_back(epochTaskCount);
+        m.epochTicks.push_back(lastCompletionTick - epoch_begin);
+        m.epochBusyTicks.push_back(epochBusy);
+        m.epochTasks.push_back(epochTaskCount);
         if (trace.is_open()) {
             std::uint64_t hops = mem.network().totalInterHops();
             std::uint64_t chits = mem.campHits();
@@ -1311,73 +1409,6 @@ NdpSystem::batchRun(Workload &wl)
     if (ts == 0)
         warn("workload ", wl.name(), " emitted no initial tasks; zero "
              "epochs were simulated and every metric is zero");
-
-    energy.finalizeStatic(lastCompletionTick);
-
-    RunMetrics m;
-    m.ticks = lastCompletionTick;
-    m.epochs = ts;
-    m.tasks = totalTasks;
-    m.epochTicks = std::move(epoch_ticks);
-    m.epochBusyTicks = std::move(epoch_busy);
-    m.epochTasks = std::move(epoch_tasks);
-    m.interHops = mem.network().totalInterHops();
-    m.intraTraversals = mem.network().totalIntraTraversals();
-    m.energy = energy.breakdown();
-    m.campHits = mem.campHits();
-    m.campMisses = mem.campMisses();
-    m.cacheInserts = mem.cacheInsertions();
-    m.readLatMeanNs = mem.readLatencyNs().mean();
-    m.readLatMaxNs = mem.readLatencyNs().max();
-    m.stealAttempts = stealAttempts;
-    m.stolenTasks = stolenTasks;
-    m.forwardedTasks = forwardedTasks;
-    m.schedDecisions = sched.decisions();
-    for (UnitId u = 0; u < units.size(); ++u) {
-        const auto &unit = units[u];
-        m.pbHits += unit.pb->hits();
-        m.pbLateHits += unit.pb->lateHits();
-        m.pbMisses += unit.pb->misses();
-        for (const auto &core : unit.cores) {
-            m.coreActiveTicks.push_back(core.activeTicks);
-            m.l1Hits += core.l1d->hits();
-            m.l1Misses += core.l1d->misses();
-        }
-        m.dramReads += mem.dram(u).reads();
-        m.dramWrites += mem.dram(u).writes();
-        m.dramRowMisses += mem.dram(u).rowMisses();
-        m.dramRowHits += mem.dram(u).rowHits();
-        m.dramActStalls += mem.dram(u).actStalls();
-        m.dramEccRetries += mem.dram(u).eccRetries();
-    }
-    m.netDropped = mem.network().totalDropped();
-    m.netRetries = mem.network().totalRetries();
-    m.unitsFailed = everFailed
-        ? static_cast<std::uint64_t>(faults.failedUnits().size())
-        : 0;
-    m.tasksRecovered = tasksRecovered;
-    m.tasksRedispatched = tasksRedispatched;
-    m.recoveryTrafficBytes = recoveryTrafficBytes;
-    m.tasksShedIntra = tasksShedIntra;
-    m.tasksShedInter = tasksShedInter;
-    m.blocksMigrated = mem.blocksMigrated();
-    m.migrationInvalidations = mem.migrationInvalidations();
-    m.migrationTrafficBytes = mem.migrationTrafficBytes();
-    m.simEvents = eq.executed();
-
-    if (checker)
-        checker->onRunEnd(m);
-
-    if (!cfg.traceOut.empty()) {
-        std::ofstream tf(cfg.traceOut);
-        if (!tf)
-            fatal("cannot open trace output file: ", cfg.traceOut);
-        tracer.exportChromeJson(tf);
-    }
-
-    m.hostSeconds = std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - hostStart).count();
-    return m;
 }
 
 void
@@ -1476,10 +1507,9 @@ NdpSystem::recordServedCompletion(UnitId u, std::uint32_t c)
         ++servingCompletedDirect;
 }
 
-RunMetrics
+void
 NdpSystem::serveRun(Workload &wl)
 {
-    const auto hostStart = std::chrono::steady_clock::now();
     workload = &wl;
     auto *svc = dynamic_cast<QueryService *>(&wl);
     if (svc == nullptr)
@@ -1532,96 +1562,6 @@ NdpSystem::serveRun(Workload &wl)
     }
     // Only bookkeeping chains remain (windows, steal backoffs).
     eq.clearPending();
-
-    energy.finalizeStatic(lastCompletionTick);
-
-    RunMetrics m;
-    m.ticks = lastCompletionTick;
-    m.epochs = servingWindows;
-    m.tasks = totalTasks;
-    m.interHops = mem.network().totalInterHops();
-    m.intraTraversals = mem.network().totalIntraTraversals();
-    m.energy = energy.breakdown();
-    m.campHits = mem.campHits();
-    m.campMisses = mem.campMisses();
-    m.cacheInserts = mem.cacheInsertions();
-    m.readLatMeanNs = mem.readLatencyNs().mean();
-    m.readLatMaxNs = mem.readLatencyNs().max();
-    m.stealAttempts = stealAttempts;
-    m.stolenTasks = stolenTasks;
-    m.forwardedTasks = forwardedTasks;
-    m.schedDecisions = sched.decisions();
-    for (UnitId u = 0; u < units.size(); ++u) {
-        const auto &unit = units[u];
-        m.pbHits += unit.pb->hits();
-        m.pbLateHits += unit.pb->lateHits();
-        m.pbMisses += unit.pb->misses();
-        for (const auto &core : unit.cores) {
-            m.coreActiveTicks.push_back(core.activeTicks);
-            m.l1Hits += core.l1d->hits();
-            m.l1Misses += core.l1d->misses();
-        }
-        m.dramReads += mem.dram(u).reads();
-        m.dramWrites += mem.dram(u).writes();
-        m.dramRowMisses += mem.dram(u).rowMisses();
-        m.dramRowHits += mem.dram(u).rowHits();
-        m.dramActStalls += mem.dram(u).actStalls();
-        m.dramEccRetries += mem.dram(u).eccRetries();
-    }
-    m.netDropped = mem.network().totalDropped();
-    m.netRetries = mem.network().totalRetries();
-    m.unitsFailed = everFailed
-        ? static_cast<std::uint64_t>(faults.failedUnits().size())
-        : 0;
-    m.tasksRecovered = tasksRecovered;
-    m.tasksRedispatched = tasksRedispatched;
-    m.recoveryTrafficBytes = recoveryTrafficBytes;
-    m.tasksShedIntra = tasksShedIntra;
-    m.tasksShedInter = tasksShedInter;
-    m.blocksMigrated = mem.blocksMigrated();
-    m.migrationInvalidations = mem.migrationInvalidations();
-    m.migrationTrafficBytes = mem.migrationTrafficBytes();
-    m.simEvents = eq.executed();
-
-    m.servingInjected = servingInjected;
-    m.servingRejected = servingRejected;
-    m.servingCompletedDirect = servingCompletedDirect;
-    m.servingCompletedRecovered = servingCompletedRecovered;
-    m.servingSloMisses = servingLat.sloMisses();
-    m.servingWindows = servingWindows;
-    m.servingP50Ns =
-        static_cast<double>(servingLat.percentile(0.50)) / ticksPerNs;
-    m.servingP95Ns =
-        static_cast<double>(servingLat.percentile(0.95)) / ticksPerNs;
-    m.servingP99Ns =
-        static_cast<double>(servingLat.percentile(0.99)) / ticksPerNs;
-    m.servingP999Ns =
-        static_cast<double>(servingLat.percentile(0.999)) / ticksPerNs;
-    m.servingMeanNs = servingLat.meanTicks() / ticksPerNs;
-    if (lastCompletionTick > 0) {
-        double ok = static_cast<double>(servingLat.samples()
-                                        - servingLat.sloMisses());
-        m.servingGoodputQps =
-            ok / (static_cast<double>(lastCompletionTick) * 1e-12);
-    }
-    if (servingInjected > 0)
-        m.servingSloMissRate =
-            static_cast<double>(servingRejected + servingLat.sloMisses())
-            / static_cast<double>(servingInjected);
-
-    if (checker)
-        checker->onRunEnd(m);
-
-    if (!cfg.traceOut.empty()) {
-        std::ofstream tf(cfg.traceOut);
-        if (!tf)
-            fatal("cannot open trace output file: ", cfg.traceOut);
-        tracer.exportChromeJson(tf);
-    }
-
-    m.hostSeconds = std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - hostStart).count();
-    return m;
 }
 
 } // namespace abndp

@@ -112,8 +112,18 @@ class NdpSystem : public TaskSink
     const obs::Tracer &eventTracer() const { return tracer; }
 
   private:
-    /** The batch epoch engine (run() body when serving is off). */
-    RunMetrics batchRun(Workload &wl);
+    /**
+     * The batch epoch engine (run() body when serving is off). Fills
+     * only the batch-only per-epoch vectors of @p m; run() harvests
+     * every other field.
+     */
+    void batchRun(Workload &wl, RunMetrics &m);
+
+    /**
+     * The end-of-run harvest shared by both drivers: copies every
+     * counter into @p m (the serving fields only when servingMode).
+     */
+    void harvestMetrics(RunMetrics &m);
 
     // ---- Online serving driver (docs/ARCHITECTURE.md) ----
 
@@ -124,7 +134,7 @@ class NdpSystem : public TaskSink
      * snapshots, watchdog re-arms, and meter reclamation ride on a
      * periodic *window* chain instead of the epoch barrier.
      */
-    RunMetrics serveRun(Workload &wl);
+    void serveRun(Workload &wl);
 
     /**
      * One arrival: draw tenant and key, apply admission control, and

@@ -1,7 +1,5 @@
 #include "core/stats_report.hh"
 
-#include <iomanip>
-
 #include "core/ndp_system.hh"
 #include "net/topology.hh"
 #include "obs/stats_registry.hh"
@@ -9,104 +7,12 @@
 namespace abndp
 {
 
-namespace
-{
-
-/** Pad @p name to the value column without touching stream state. */
-std::string
-padName(const char *name)
-{
-    std::string s(name);
-    if (s.size() < 40)
-        s.resize(40, ' ');
-    return s;
-}
-
 void
-line(std::ostream &os, const char *name, double value)
+printStats(std::ostream &os, const NdpSystem &sys, const RunMetrics &m)
 {
-    // Explicit fixed formatting via formatStatValue() and explicit
-    // padding: the default stream precision/fill depend on the ambient
-    // stream state and round differently across platforms, which made
-    // dumps unstable.
-    os << padName(name) << " "
-       << obs::formatStatValue(value, /*integer=*/false) << "\n";
-}
-
-void
-line(std::ostream &os, const char *name, std::uint64_t value)
-{
-    os << padName(name) << " " << value << "\n";
-}
-
-} // namespace
-
-void
-dumpStats(std::ostream &os, NdpSystem &sys, const RunMetrics &m)
-{
-    const SystemConfig &cfg = sys.config();
-    os << "---------- Begin Simulation Statistics ----------\n";
-    line(os, "system.ticks", m.ticks);
-    line(os, "system.seconds", m.seconds());
-    line(os, "system.epochs", m.epochs);
-    line(os, "system.tasks", m.tasks);
-    line(os, "system.units", std::uint64_t{cfg.numUnits()});
-    line(os, "system.cores", std::uint64_t{cfg.numCores()});
-    line(os, "system.utilization", m.utilization());
-    line(os, "system.imbalance", m.imbalance());
-
-    line(os, "network.interHops", m.interHops);
-    line(os, "network.intraTraversals", m.intraTraversals);
-    line(os, "network.packets",
-         sys.memSystem().network().totalPackets());
-
-    line(os, "sched.decisions", m.schedDecisions);
-    line(os, "sched.forwardedTasks", m.forwardedTasks);
-    line(os, "sched.stealAttempts", m.stealAttempts);
-    line(os, "sched.stolenTasks", m.stolenTasks);
-
-    line(os, "prefetchBuffer.hits", m.pbHits);
-    line(os, "prefetchBuffer.lateHits", m.pbLateHits);
-    line(os, "prefetchBuffer.misses", m.pbMisses);
-    line(os, "l1d.hits", m.l1Hits);
-    line(os, "l1d.misses", m.l1Misses);
-
-    if (sys.memSystem().cachingEnabled()) {
-        line(os, "travellerCache.hits", m.campHits);
-        line(os, "travellerCache.misses", m.campMisses);
-        line(os, "travellerCache.hitRate", m.campHitRate());
-        line(os, "travellerCache.insertions", m.cacheInserts);
-        std::uint64_t occupancy = 0;
-        for (UnitId u = 0; u < cfg.numUnits(); ++u)
-            occupancy += sys.memSystem().traveller(u).occupancy();
-        line(os, "travellerCache.occupancyBlocks", occupancy);
-    }
-
-    std::uint64_t refreshes = 0;
-    for (UnitId u = 0; u < cfg.numUnits(); ++u)
-        refreshes += sys.memSystem().dram(u).refreshes();
-    line(os, "dram.reads", m.dramReads);
-    line(os, "dram.writes", m.dramWrites);
-    line(os, "dram.rowMisses", m.dramRowMisses);
-    line(os, "dram.rowHits", m.dramRowHits);
-    line(os, "dram.actStalls", m.dramActStalls);
-    line(os, "dram.refreshes", refreshes);
-    line(os, "mem.readLatencyAvgNs", m.readLatMeanNs);
-    line(os, "mem.readLatencyMaxNs", m.readLatMaxNs);
-
-    line(os, "sim.events", m.simEvents);
-    // Host-side throughput: wall-clock, so these two lines (alone) vary
-    // between otherwise identical runs.
-    line(os, "sim.hostSeconds", m.hostSeconds);
-    line(os, "sim.eventsPerSec", m.eventsPerSec());
-
-    line(os, "energy.coreSramPj", m.energy.coreSramPj);
-    line(os, "energy.dramMemPj", m.energy.dramMemPj);
-    line(os, "energy.dramCachePj", m.energy.dramCachePj);
-    line(os, "energy.netPj", m.energy.netPj);
-    line(os, "energy.staticPj", m.energy.staticPj);
-    line(os, "energy.totalPj", m.energy.total());
-    os << "---------- End Simulation Statistics   ----------\n";
+    sys.statsRegistry().dump(os);
+    obs::writeStatLine(os, "sim.hostSeconds", m.hostSeconds, false);
+    obs::writeStatLine(os, "sim.eventsPerSec", m.eventsPerSec(), false);
 }
 
 void

@@ -1,8 +1,7 @@
 /**
  * @file
- * gem5-style end-of-run statistics report for a simulated NDP system:
- * a hierarchical dump of every component's counters, suitable for diffing
- * between runs and for scripts that post-process results.
+ * End-of-run reports for a simulated NDP system: the stats-registry
+ * dump plus host time, a JSON summary, and a utilization heatmap.
  */
 
 #ifndef ABNDP_CORE_STATS_REPORT_HH
@@ -19,12 +18,14 @@ namespace abndp
 class NdpSystem;
 
 /**
- * Write the full statistics tree of a finished run:
- * system.{time,tasks,epochs}, per-category totals, network, scheduler,
- * caches, DRAM, and the energy breakdown.
+ * Write the end-of-run report behind `abndp_sim --stats`: the full
+ * stats-registry dump, then two host-time lines (sim.hostSeconds and
+ * sim.eventsPerSec). Those two vary between otherwise identical runs,
+ * so the registry itself (and every golden built from it) leaves them
+ * out.
  */
-void dumpStats(std::ostream &os, NdpSystem &sys,
-               const RunMetrics &metrics);
+void printStats(std::ostream &os, const NdpSystem &sys,
+                const RunMetrics &metrics);
 
 /** Write the headline metrics of a run as a single JSON object. */
 void dumpJson(std::ostream &os, const SystemConfig &cfg,

@@ -26,6 +26,16 @@ formatStatValue(double v, bool integer)
     return oss.str();
 }
 
+void
+writeStatLine(std::ostream &os, const std::string &name, double v,
+              bool integer)
+{
+    std::string line = name;
+    if (line.size() < 44)
+        line.resize(44, ' ');
+    os << line << ' ' << formatStatValue(v, integer) << "\n";
+}
+
 StatNode &
 StatNode::child(const std::string &name)
 {
@@ -150,13 +160,8 @@ StatsRegistry::dump(std::ostream &os) const
     std::vector<const StatNode::Entry *> flat;
     std::vector<std::string> names;
     collect(flat, names);
-    for (std::size_t i = 0; i < flat.size(); ++i) {
-        os << names[i];
-        for (std::size_t pad = names[i].size(); pad < 44; ++pad)
-            os << ' ';
-        os << ' ' << formatStatValue(flat[i]->get(), flat[i]->integer)
-           << "\n";
-    }
+    for (std::size_t i = 0; i < flat.size(); ++i)
+        writeStatLine(os, names[i], flat[i]->get(), flat[i]->integer);
 }
 
 void
@@ -184,10 +189,7 @@ StatsRegistry::dumpInterval(std::ostream &os, const std::string &header)
         double v = flat[i]->kind == StatKind::Counter
             ? cur - intervalBase[i]
             : cur;
-        os << names[i];
-        for (std::size_t pad = names[i].size(); pad < 44; ++pad)
-            os << ' ';
-        os << ' ' << formatStatValue(v, flat[i]->integer) << "\n";
+        writeStatLine(os, names[i], v, flat[i]->integer);
         intervalBase[i] = cur;
     }
 }

@@ -55,6 +55,13 @@ enum class StatKind
 std::string formatStatValue(double v, bool integer);
 
 /**
+ * Write one dump line: @p name padded to the value column, then the
+ * value formatted by formatStatValue().
+ */
+void writeStatLine(std::ostream &os, const std::string &name, double v,
+                   bool integer);
+
+/**
  * One node (group) in the stats hierarchy. Nodes own their child nodes;
  * registered stats are referenced by pointer or captured getter and
  * must outlive the registry (they live in the owning component, as in

@@ -136,6 +136,10 @@ TEST(ConfigValidateDeath, RejectsNegativeLatencies)
     auto cfg2 = plainConfig();
     cfg2.l1iMissNs = -1.0;
     EXPECT_DEATH(cfg2.validate(), "l1iMissNs must be non-negative");
+    auto cfg3 = plainConfig();
+    cfg3.prefetchBufBytes = 32;
+    EXPECT_DEATH(cfg3.validate(),
+                 "prefetchBufBytes must hold at least one 64B block");
 }
 
 TEST(ConfigValidateDeath, RejectsBadSchedulerKnobs)

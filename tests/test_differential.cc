@@ -213,12 +213,16 @@ TEST(BandwidthMeterDifferential, LockStepAgainstReference)
 
 // ---- DdrBackend vs RefDdrBackend --------------------------------------
 
+// gtest lists an unprintable parameter by its raw bytes, so the name
+// pointer goes last: the listed test ID then starts with the policy and
+// address-map values instead of a string address that moves whenever
+// the binary's read-only data layout does.
 struct DdrDiffCase
 {
-    const char *name;
     PagePolicy policy;
     DramAddrMapKind addrMap;
     bool refresh;
+    const char *name;
 };
 
 class DdrBackendDifferential
@@ -267,16 +271,16 @@ TEST_P(DdrBackendDifferential, LockStepAgainstReference)
 INSTANTIATE_TEST_SUITE_P(
     Policies, DdrBackendDifferential,
     ::testing::Values(
-        DdrDiffCase{"open_rbc", PagePolicy::Open,
-                    DramAddrMapKind::RowBankColumn, true},
-        DdrDiffCase{"close_rcb", PagePolicy::Close,
-                    DramAddrMapKind::RowColumnBank, true},
-        DdrDiffCase{"adaptive_brc", PagePolicy::Adaptive,
-                    DramAddrMapKind::BankRowColumn, true},
-        DdrDiffCase{"open_rcb_norefresh", PagePolicy::Open,
-                    DramAddrMapKind::RowColumnBank, false},
-        DdrDiffCase{"adaptive_rbc", PagePolicy::Adaptive,
-                    DramAddrMapKind::RowBankColumn, true}),
+        DdrDiffCase{PagePolicy::Open, DramAddrMapKind::RowBankColumn,
+                    true, "open_rbc"},
+        DdrDiffCase{PagePolicy::Close, DramAddrMapKind::RowColumnBank,
+                    true, "close_rcb"},
+        DdrDiffCase{PagePolicy::Adaptive, DramAddrMapKind::BankRowColumn,
+                    true, "adaptive_brc"},
+        DdrDiffCase{PagePolicy::Open, DramAddrMapKind::RowColumnBank,
+                    false, "open_rcb_norefresh"},
+        DdrDiffCase{PagePolicy::Adaptive, DramAddrMapKind::RowBankColumn,
+                    true, "adaptive_rbc"}),
     [](const auto &info) { return std::string(info.param.name); });
 
 // ---- PrefetchBuffer vs RefPrefetchBuffer ------------------------------

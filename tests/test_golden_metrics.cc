@@ -15,12 +15,18 @@
  * Dumps are stable across build types because all float formatting goes
  * through obs::formatStatValue() and the build compiles with
  * -ffp-contract=off.
+ *
+ * Every cell also checks the RunMetrics that run() returns against the
+ * registry dump of the same run, so the one end-of-run harvest both
+ * drivers share stays locked to the registry in batch and serving mode.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <regex>
 #include <sstream>
 #include <string>
 
@@ -81,32 +87,170 @@ servingGoldenConfig(Design d)
     return cfg;
 }
 
+/**
+ * Check every RunMetrics field that has a registry twin against the
+ * registry dump of the same run, compared as formatted dump text.
+ * Per-unit counters compare against the sum of their unit lines.
+ * Twins of conditional nodes (lb, serving, recovery, the DDR-only
+ * counters) must read zero when their node is absent.
+ */
+void
+checkHarvestMatchesRegistry(const RunMetrics &m, const std::string &dump,
+                            const std::string &label)
+{
+    std::map<std::string, std::string> reg;
+    std::map<std::string, double> unitSum;
+    std::vector<double> activeTicks;
+    const std::regex unitKey(R"(unit\d+(\.core\d+)?\.(.*))");
+    std::istringstream lines(dump);
+    std::string name, value;
+    while (lines >> name >> value) {
+        reg[name] = value;
+        std::smatch sm;
+        if (!std::regex_match(name, sm, unitKey))
+            continue;
+        unitSum[sm[2]] += std::stod(value);
+        if (sm[2] == "activeTicks")
+            activeTicks.push_back(std::stod(value));
+    }
+
+    enum Presence { Required, ZeroIfAbsent, IfPresent };
+    auto expect = [&](const std::string &key, double v, bool integer,
+                      Presence p) {
+        auto it = reg.find(key);
+        if (it == reg.end()) {
+            EXPECT_NE(p, Required) << label << ": no " << key;
+            if (p == ZeroIfAbsent)
+                EXPECT_EQ(v, 0.0) << label << ": " << key;
+            return;
+        }
+        EXPECT_EQ(obs::formatStatValue(v, integer), it->second)
+            << label << ": " << key;
+    };
+    auto count = [&](const std::string &key, std::uint64_t v,
+                     Presence p = Required) {
+        expect(key, static_cast<double>(v), true, p);
+    };
+    auto real = [&](const std::string &key, double v,
+                    Presence p = Required) {
+        expect(key, v, false, p);
+    };
+    auto units = [&](const std::string &suffix, std::uint64_t v,
+                     Presence p = Required) {
+        auto it = unitSum.find(suffix);
+        if (it == unitSum.end()) {
+            EXPECT_NE(p, Required) << label << ": no unit*." << suffix;
+            if (p == ZeroIfAbsent)
+                EXPECT_EQ(v, 0u) << label << ": " << suffix;
+            return;
+        }
+        EXPECT_EQ(static_cast<double>(v), it->second)
+            << label << ": sum of unit*." << suffix;
+    };
+
+    const bool serving = reg.count("serving.windows") != 0;
+    count("system.finalTick", m.ticks);
+    count(serving ? "serving.windows" : "system.epochs", m.epochs);
+    count("system.tasks", m.tasks);
+    count("system.forwardedTasks", m.forwardedTasks);
+    count("system.stolenTasks", m.stolenTasks);
+    count("system.stealAttempts", m.stealAttempts);
+    count("system.simEvents", m.simEvents);
+    count("sched.decisions", m.schedDecisions);
+    count("net.interHops", m.interHops);
+    count("net.intraTraversals", m.intraTraversals);
+    count("net.dropped", m.netDropped);
+    count("net.retries", m.netRetries);
+    count("mem.campHits", m.campHits);
+    count("mem.campMisses", m.campMisses);
+    count("mem.cacheInsertions", m.cacheInserts);
+    real("mem.campHitRate", m.campHitRate());
+    real("mem.readLatencyNs.mean", m.readLatMeanNs);
+    real("mem.readLatencyNs.max", m.readLatMaxNs);
+    real("energy.coreSramPj", m.energy.coreSramPj);
+    real("energy.dramMemPj", m.energy.dramMemPj);
+    real("energy.dramCachePj", m.energy.dramCachePj);
+    real("energy.netPj", m.energy.netPj);
+    real("energy.staticPj", m.energy.staticPj);
+    real("energy.totalPj", m.energy.total());
+
+    units("pb.hits", m.pbHits);
+    units("pb.lateHits", m.pbLateHits);
+    units("pb.misses", m.pbMisses);
+    units("l1d.hits", m.l1Hits);
+    units("l1d.misses", m.l1Misses);
+    units("dram.reads", m.dramReads);
+    units("dram.writes", m.dramWrites);
+    units("dram.rowMisses", m.dramRowMisses);
+    units("dram.eccRetries", m.dramEccRetries);
+    // Only the DDR backend registers these two.
+    units("dram.rowHits", m.dramRowHits, IfPresent);
+    units("dram.actStalls", m.dramActStalls, ZeroIfAbsent);
+    EXPECT_EQ(activeTicks, std::vector<double>(m.coreActiveTicks.begin(),
+                                               m.coreActiveTicks.end()))
+        << label << ": unit*.core*.activeTicks";
+
+    count("lb.tasksShedIntra", m.tasksShedIntra, ZeroIfAbsent);
+    count("lb.tasksShedInter", m.tasksShedInter, ZeroIfAbsent);
+    count("lb.blocksMigrated", m.blocksMigrated, ZeroIfAbsent);
+    count("lb.migrationInvalidations", m.migrationInvalidations,
+          ZeroIfAbsent);
+    count("lb.migrationTrafficBytes", m.migrationTrafficBytes,
+          ZeroIfAbsent);
+    count("recovery.tasksRecovered", m.tasksRecovered, ZeroIfAbsent);
+    count("recovery.tasksRedispatched", m.tasksRedispatched,
+          ZeroIfAbsent);
+    count("recovery.recoveryTrafficBytes", m.recoveryTrafficBytes,
+          ZeroIfAbsent);
+
+    count("serving.injected", m.servingInjected, ZeroIfAbsent);
+    count("serving.rejected", m.servingRejected, ZeroIfAbsent);
+    count("serving.completedDirect", m.servingCompletedDirect,
+          ZeroIfAbsent);
+    count("serving.completedRecovered", m.servingCompletedRecovered,
+          ZeroIfAbsent);
+    count("serving.sloMisses", m.servingSloMisses, ZeroIfAbsent);
+    count("serving.windows", m.servingWindows, ZeroIfAbsent);
+    real("serving.meanNs", m.servingMeanNs, ZeroIfAbsent);
+    real("serving.p50Ns", m.servingP50Ns, ZeroIfAbsent);
+    real("serving.p95Ns", m.servingP95Ns, ZeroIfAbsent);
+    real("serving.p99Ns", m.servingP99Ns, ZeroIfAbsent);
+    real("serving.p999Ns", m.servingP999Ns, ZeroIfAbsent);
+    real("serving.goodputQps", m.servingGoodputQps, ZeroIfAbsent);
+    real("serving.sloMissRate", m.servingSloMissRate, ZeroIfAbsent);
+}
+
+/**
+ * Run @p workload under @p cfg, check the returned RunMetrics against
+ * the registry, and return the full registry dump.
+ */
+std::string
+runCheckAndDump(const SystemConfig &cfg, const std::string &workload,
+                Design d)
+{
+    NdpSystem sys(cfg);
+    auto wl = makeWorkload(WorkloadSpec::tiny(workload));
+    RunMetrics m = sys.run(*wl);
+    EXPECT_TRUE(wl->verify()) << designName(d);
+    std::ostringstream oss;
+    sys.statsRegistry().dump(oss);
+    checkHarvestMatchesRegistry(
+        m, oss.str(), workload + " under " + designName(d));
+    return oss.str();
+}
+
 /** Run pr-tiny under @p d and return the full registry dump. */
 std::string
 runAndDump(Design d)
 {
-    auto cfg = goldenConfig(d);
-    NdpSystem sys(cfg);
-    auto wl = makeWorkload(WorkloadSpec::tiny("pr"));
-    sys.run(*wl);
-    EXPECT_TRUE(wl->verify()) << designName(d);
-    std::ostringstream oss;
-    sys.statsRegistry().dump(oss);
-    return oss.str();
+    return runCheckAndDump(goldenConfig(d), "pr", d);
 }
 
 /** Serve kv-tiny under @p d and return the full registry dump. */
 std::string
 runAndDumpServing(Design d)
 {
-    auto cfg = servingGoldenConfig(d);
-    NdpSystem sys(cfg);
-    auto wl = makeWorkload(WorkloadSpec::tiny("kv"));
-    sys.run(*wl);
-    EXPECT_TRUE(wl->verify()) << designName(d);
-    std::ostringstream oss;
-    sys.statsRegistry().dump(oss);
-    return oss.str();
+    return runCheckAndDump(servingGoldenConfig(d), "kv", d);
 }
 
 std::string
@@ -137,14 +281,7 @@ ddrGoldenConfig(Design d)
 std::string
 runAndDumpDdr(Design d)
 {
-    auto cfg = ddrGoldenConfig(d);
-    NdpSystem sys(cfg);
-    auto wl = makeWorkload(WorkloadSpec::tiny("pr"));
-    sys.run(*wl);
-    EXPECT_TRUE(wl->verify()) << designName(d);
-    std::ostringstream oss;
-    sys.statsRegistry().dump(oss);
-    return oss.str();
+    return runCheckAndDump(ddrGoldenConfig(d), "pr", d);
 }
 
 std::string

@@ -1,4 +1,7 @@
-/** @file Tests for the statistics dump and JSON report. */
+/**
+ * @file Tests for the --stats report (registry dump plus host time)
+ * and the JSON report.
+ */
 
 #include <gtest/gtest.h>
 
@@ -19,7 +22,7 @@ namespace
 struct ReportFixture
 {
     ReportFixture()
-        : cfg(applyDesign(SystemConfig{}, Design::O)), sys(cfg)
+        : cfg(applyDesign(SystemConfig{}, Design::HlbM)), sys(cfg)
     {
         auto wl = makeWorkload(WorkloadSpec::tiny("bfs"));
         metrics = sys.run(*wl);
@@ -36,14 +39,26 @@ TEST(StatsReport, DumpContainsAllSections)
 {
     ReportFixture f;
     std::ostringstream oss;
-    dumpStats(oss, f.sys, f.metrics);
+    printStats(oss, f.sys, f.metrics);
     std::string out = oss.str();
     for (const char *key :
-         {"system.ticks", "system.tasks", "network.interHops",
-          "sched.decisions", "prefetchBuffer.hits", "l1d.hits",
-          "travellerCache.hitRate", "dram.reads", "dram.refreshes",
-          "energy.totalPj"})
+         {"system.finalTick", "system.tasks", "net.interHops",
+          "net.packets", "sched.decisions", "unit0.pb.hits",
+          "unit0.core0.l1d.hits", "mem.campHitRate",
+          "unit0.traveller.occupancyBlocks", "unit0.dram.reads",
+          "unit0.dram.refreshes", "mem.readLatencyNs.mean",
+          "energy.totalPj", "lb.tasksShedIntra", "lb.blocksMigrated",
+          "sim.hostSeconds", "sim.eventsPerSec"})
         EXPECT_NE(out.find(key), std::string::npos) << key;
+
+    // The report is the registry dump followed by exactly the two
+    // host-time lines the registry leaves out.
+    std::ostringstream reg;
+    f.sys.statsRegistry().dump(reg);
+    ASSERT_EQ(out.compare(0, reg.str().size(), reg.str()), 0);
+    std::string tail = out.substr(reg.str().size());
+    EXPECT_EQ(std::count(tail.begin(), tail.end(), '\n'), 2) << tail;
+    EXPECT_EQ(tail.rfind("sim.hostSeconds", 0), 0u) << tail;
 }
 
 TEST(StatsReport, NoTravellerSectionWithoutCache)
@@ -53,8 +68,8 @@ TEST(StatsReport, NoTravellerSectionWithoutCache)
     auto wl = makeWorkload(WorkloadSpec::tiny("bfs"));
     RunMetrics m = sys.run(*wl);
     std::ostringstream oss;
-    dumpStats(oss, sys, m);
-    EXPECT_EQ(oss.str().find("travellerCache"), std::string::npos);
+    printStats(oss, sys, m);
+    EXPECT_EQ(oss.str().find("traveller"), std::string::npos);
 }
 
 TEST(StatsReport, JsonIsWellFormedEnough)
@@ -77,7 +92,7 @@ TEST(StatsReport, DumpIsStableUnderAmbientStreamState)
 {
     ReportFixture f;
     std::ostringstream pristine;
-    dumpStats(pristine, f.sys, f.metrics);
+    printStats(pristine, f.sys, f.metrics);
 
     // A caller-perturbed stream (precision, scientific notation, odd
     // fill) must not change a single byte: every float goes through
@@ -86,7 +101,7 @@ TEST(StatsReport, DumpIsStableUnderAmbientStreamState)
     perturbed << std::scientific << std::setprecision(2)
               << std::setfill('*');
     std::string prefix = perturbed.str();
-    dumpStats(perturbed, f.sys, f.metrics);
+    printStats(perturbed, f.sys, f.metrics);
     EXPECT_EQ(pristine.str(), perturbed.str().substr(prefix.size()));
 }
 
@@ -94,15 +109,16 @@ TEST(StatsReport, DumpFloatsUseFixedNotation)
 {
     ReportFixture f;
     std::ostringstream oss;
-    dumpStats(oss, f.sys, f.metrics);
+    printStats(oss, f.sys, f.metrics);
     std::string out = oss.str();
-    // Energy values are large enough that default formatting would
-    // print scientific notation; the dump must never contain it.
+    // Energy values and events/s are large enough that default
+    // formatting would print scientific notation; the report must
+    // never contain it.
     std::istringstream lines(out);
     std::string l;
     while (std::getline(lines, l))
         EXPECT_EQ(l.find("e+"), std::string::npos) << l;
-    // utilization is a fraction formatted with fixed six digits.
+    // coreUtilization is a fraction formatted with fixed six digits.
     EXPECT_NE(out.find("0."), std::string::npos);
 }
 
