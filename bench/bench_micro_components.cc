@@ -2,19 +2,22 @@
  * @file
  * Component microbenchmarks (google-benchmark): throughput of the hot
  * simulator primitives — camp mapping, cache probes, the event queue,
- * DRAM/network reservations, and scheduler scoring. These guard the
- * simulator's own performance, not the paper's results.
+ * DRAM/network reservations, scheduler scoring and block migration.
+ * These guard the simulator's own performance, not the paper's
+ * results.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "cache/camp_mapping.hh"
 #include "cache/set_assoc_cache.hh"
 #include "cache/traveller_cache.hh"
 #include "common/config.hh"
 #include "common/rng.hh"
+#include "core/mem_system.hh"
 #include "energy/energy.hh"
 #include "mem/address_map.hh"
 #include "mem/meter_backend.hh"
@@ -178,6 +181,50 @@ BM_BandwidthMeterReserve(benchmark::State &state)
     }
 }
 BENCHMARK(BM_BandwidthMeterReserve);
+
+/**
+ * One HLB-mig re-homing on the Table-1 machine: DRAM read and write,
+ * one NoC data packet, the stale-copy probe of all 128 camp caches,
+ * and the indirection update. Every migrated block starts cached in
+ * every camp cache; the caches are rewarmed (untimed) after each pass.
+ */
+void
+BM_MigrateBlock(benchmark::State &state)
+{
+    SystemConfig cfg = applyDesign(SystemConfig{}, Design::HlbM);
+    Topology topo(cfg);
+    AddressMap amap(cfg);
+    EnergyAccount energy(cfg);
+    MemSystem mem(cfg, topo, amap, energy);
+
+    // Blocks spread over every home and over distinct camp sets.
+    std::vector<Addr> blocks(4096);
+    for (std::size_t i = 0; i < blocks.size(); ++i)
+        blocks[i] = amap.unitBase(static_cast<UnitId>(i % cfg.numUnits()))
+            + i * cachelineBytes;
+    auto warm = [&] {
+        for (UnitId u = 0; u < cfg.numUnits(); ++u)
+            for (Addr b : blocks)
+                mem.traveller(u).maybeInsert(b);
+    };
+    warm();
+
+    Tick t = 0;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        Addr b = blocks[i];
+        UnitId to = (mem.campMapping().homeOf(b) + 1) % cfg.numUnits();
+        mem.migrateBlock(b, to, t);
+        t += 100000;
+        if (++i == blocks.size()) {
+            i = 0;
+            state.PauseTiming();
+            warm();
+            state.ResumeTiming();
+        }
+    }
+}
+BENCHMARK(BM_MigrateBlock);
 
 void
 BM_SchedulerChoose(benchmark::State &state)

@@ -188,6 +188,40 @@ class TravellerCache
         return dropped;
     }
 
+    /**
+     * Drop one block if cached — the effect of invalidateMatching()
+     * with an equality predicate, at the cost of a single set probe: a
+     * block can only live in setOf(block). Surviving ways shift down
+     * in their original order, so the occupied prefix, later Random
+     * victim indices and LRU stamps all match the sweep exactly; the
+     * removal counts as an eviction.
+     * @return true if the block was present and dropped.
+     */
+    bool
+    invalidateBlock(Addr blockAddr)
+    {
+        std::uint64_t s = setOf(blockAddr);
+        if (setGen[s] != curGen)
+            return false; // logically empty since the last bulk clear
+        const std::uint64_t base = s * assoc;
+        Addr *tag = &tags[base];
+        std::uint64_t *stamp = &stamps[base];
+        std::uint32_t w = 0;
+        while (w < assoc && tag[w] != invalidAddr && tag[w] != blockAddr)
+            ++w;
+        if (w == assoc || tag[w] == invalidAddr)
+            return false;
+        for (; w + 1 < assoc && tag[w + 1] != invalidAddr; ++w) {
+            tag[w] = tag[w + 1];
+            stamp[w] = stamp[w + 1];
+        }
+        tag[w] = invalidAddr;
+        stamp[w] = 0;
+        --nOccupied;
+        ++nEvicts;
+        return true;
+    }
+
     /** Clear all tags at the end of a timestamp (no writeback needed). */
     void
     bulkInvalidate()

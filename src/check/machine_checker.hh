@@ -132,24 +132,24 @@ class MachineChecker
 
     /**
      * Data re-homing conservation: with camp caching on, every block
-     * migration runs exactly one stale-camp invalidation sweep;
-     * without a camp cache there is nothing to invalidate and the
-     * sweep count must stay zero. A missed sweep would leave a
+     * migration runs exactly one stale-camp invalidation; without a
+     * camp cache there is nothing to invalidate and the invalidation
+     * count must stay zero. A missed invalidation would leave a
      * Traveller entry serving reads for a block its home no longer
      * owns.
      */
     static void
     checkMigrationConservation(CheckContext &ctx, std::uint64_t migrated,
-                               std::uint64_t invalidationSweeps,
+                               std::uint64_t invalidations,
                                bool cachingEnabled)
     {
         std::uint64_t want = cachingEnabled ? migrated : 0;
-        ctx.require(invalidationSweeps == want,
+        ctx.require(invalidations == want,
                     "migration conservation: ", migrated,
-                    " blocks re-homed but ", invalidationSweeps,
-                    " stale-camp invalidation sweeps ran (expected ",
-                    want, "; a missed sweep leaves a stale Traveller "
-                    "entry serving a moved block)");
+                    " blocks re-homed but ", invalidations,
+                    " stale-camp invalidations ran (expected ", want,
+                    "; a missed one leaves a stale Traveller entry "
+                    "serving a moved block)");
     }
 
     /**

@@ -216,13 +216,14 @@ MemSystem::migrateBlock(Addr block, UnitId to, Tick now)
     drams[to]->access(block, cachelineBytes, true, false, now);
     nMigrationTraffic += PacketSizes::data;
     // The camp locations of a block derive from its home unit, so
-    // every cached copy placed under the old home is stale: sweep all
-    // camps. Dropped blocks count as evictions inside the Traveller,
-    // preserving the occupancy conservation law.
+    // every cached copy placed under the old home is stale. Any camp
+    // cache may hold one, but only in the block's own set, so one set
+    // probe per camp cache finds them all. Dropped blocks count as
+    // evictions inside the Traveller, preserving the occupancy
+    // conservation law.
     if (cachingEnabled()) {
         for (auto &cc : campCaches)
-            cc->invalidateMatching(
-                [block](Addr b) { return b == block; });
+            cc->invalidateBlock(block);
         ++nMigrationInvalidations;
     }
     indirection.set(block, to, amap.homeOf(block));

@@ -80,9 +80,10 @@ class MemSystem
      * Hotness-driven re-homing (src/sched/lb): move ownership of
      * @p block to unit @p to. Ships one data packet from the current
      * home, pays a DRAM read there and a write at the new home,
-     * sweeps every camp cache for stale copies of the block (the
-     * Traveller's camp locations are derived from the home), and
-     * records the move in the indirection overlay consulted by
+     * drops stale copies of the block from every camp cache (the
+     * Traveller's camp locations are derived from the home; a probe
+     * of the block's one set per cache finds them all), and records
+     * the move in the indirection overlay consulted by
      * CampMapping::homeOf(). Traffic and energy are charged to the
      * meters; no task blocks on the move (re-homing rides the
      * exchange window).

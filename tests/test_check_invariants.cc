@@ -197,9 +197,10 @@ TEST(CheckerPerturbation, TaskConservationUnderFailureFires)
 
 TEST(CheckerPerturbation, MigrationConservationFires)
 {
-    // Re-homing law: with camp caching on, sweeps == migrations; with
-    // caching off, sweeps == 0. A missed sweep (stale Traveller entry
-    // left behind) and a phantom sweep both surface as an imbalance.
+    // Re-homing law: with camp caching on, invalidations ==
+    // migrations; with caching off, invalidations == 0. A missed
+    // invalidation (stale Traveller entry left behind) and a phantom
+    // one both surface as an imbalance.
     check::CheckContext ctx;
     check::MachineChecker::checkMigrationConservation(ctx, 5, 5, true);
     check::MachineChecker::checkMigrationConservation(ctx, 5, 0, false);

@@ -175,6 +175,79 @@ INSTANTIATE_TEST_SUITE_P(BypassProbs, TravellerDifferential,
                                        info.param * 100));
                          });
 
+// ---- TravellerCache::invalidateBlock vs the invalidateMatching sweep ---
+
+class TravellerInvalidateBlockDifferential
+    : public ::testing::TestWithParam<ReplPolicy>
+{
+};
+
+TEST_P(TravellerInvalidateBlockDifferential, LockStepAgainstSweep)
+{
+    // Two identically seeded caches see the same ops; only the way a
+    // single block is dropped differs. Sets fill (8 candidate blocks
+    // per 4-way set), so way order after a drop decides which block a
+    // later Random victim index hits.
+    SystemConfig cfg;
+    cfg.memBytesPerUnit = 1ull << 22; // 256 sets of 4 ways
+    cfg.traveller.repl = GetParam();
+    cfg.traveller.bypassProb = 0.1;
+    cfg.validate();
+    TravellerCache probe(cfg, cfg.seed);
+    TravellerCache sweep(cfg, cfg.seed);
+    const std::uint64_t window = 8 * cfg.travellerSets();
+
+    Rng gen(0x1b10cull);
+    std::uint64_t drops = 0;
+    for (std::uint64_t i = 0; i < kOps; ++i) {
+        Addr a = drawBlockAddr(gen, window);
+        switch (gen.below(8)) {
+          case 0:
+          case 1:
+            ASSERT_EQ(probe.lookup(a), sweep.lookup(a)) << "op " << i;
+            break;
+          case 2:
+          case 3:
+          case 4:
+          case 5:
+            ASSERT_EQ(probe.maybeInsert(a), sweep.maybeInsert(a))
+                << "op " << i;
+            break;
+          default: {
+            std::uint64_t dropped = probe.invalidateBlock(a) ? 1 : 0;
+            ASSERT_EQ(dropped, sweep.invalidateMatching(
+                                   [a](Addr b) { return b == a; }))
+                << "op " << i;
+            drops += dropped;
+            break;
+          }
+        }
+        ASSERT_EQ(probe.contains(a), sweep.contains(a)) << "op " << i;
+        if (i % 4096 == 4095) {
+            probe.bulkInvalidate();
+            sweep.bulkInvalidate();
+        }
+    }
+    EXPECT_GT(drops, 0u);
+    EXPECT_GT(sweep.evictions(), drops); // capacity evictions happened
+    EXPECT_EQ(probe.occupancy(), sweep.occupancy());
+    EXPECT_EQ(probe.evictions(), sweep.evictions());
+    EXPECT_EQ(probe.insertions(), sweep.insertions());
+    EXPECT_EQ(probe.hits(), sweep.hits());
+    EXPECT_EQ(probe.misses(), sweep.misses());
+}
+
+INSTANTIATE_TEST_SUITE_P(ReplPolicies,
+                         TravellerInvalidateBlockDifferential,
+                         ::testing::Values(ReplPolicy::Random,
+                                           ReplPolicy::Lru),
+                         [](const auto &info) {
+                             return std::string(
+                                 info.param == ReplPolicy::Lru
+                                     ? "lru"
+                                     : "random");
+                         });
+
 // ---- BandwidthMeter vs RefBandwidthMeter ------------------------------
 
 TEST(BandwidthMeterDifferential, LockStepAgainstReference)

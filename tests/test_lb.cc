@@ -346,7 +346,7 @@ TEST(HlbEndToEnd, HlbMigMaintainsMigrationConservation)
     EXPECT_NE(dump.find("blocksMigrated"), std::string::npos);
     // HLB-mig caches camps (Traveller on), so the conservation law the
     // machine checker enforces per run holds in the reported metrics:
-    // one stale-camp invalidation sweep per re-homed block.
+    // one stale-camp invalidation per re-homed block.
     EXPECT_EQ(m.migrationInvalidations, m.blocksMigrated);
 }
 
