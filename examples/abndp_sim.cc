@@ -12,6 +12,7 @@
  *   abndp_sim --workload=gcn --design=O --camps=7 --bypass=0.2 --json
  */
 
+#include <algorithm>
 #include <iostream>
 #include <string>
 
@@ -32,11 +33,14 @@ void
 printUsage()
 {
     using namespace abndp;
+    const auto &suite = allWorkloadNames();
     std::string workloads;
-    for (const auto &name : allWorkloadNames())
-        workloads += name + "|";
-    // kv, the serving microbenchmark, is not in the Figure-6 suite.
-    workloads += "kv";
+    for (const auto &name : suite)
+        workloads += std::string(workloads.empty() ? "" : "|") + name;
+    // Serving-only services (kv) are not in the Figure-6 suite.
+    for (const auto &name : servingWorkloadNames())
+        if (std::find(suite.begin(), suite.end(), name) == suite.end())
+            workloads += "|" + name;
     std::string designs;
     for (Design d : allDesigns())
         designs += std::string(designs.empty() ? "" : "|") + designName(d);

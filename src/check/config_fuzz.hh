@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "common/config.hh"
@@ -60,10 +61,15 @@ SystemConfig minimalFuzzBaseline();
 FuzzCase sampleFuzzCase(Rng &rng);
 
 /**
- * Cheap non-fatal validity predicate over the knobs the fuzzer
- * mutates (validate() itself calls fatal(), which a fuzz driver must
- * never trigger while *searching* for a smaller repro).
+ * The first rule @p cfg breaks under some NDP design, as
+ * "design <name>: <message>", or nullopt when applyDesign(cfg, d)
+ * passes SystemConfig::violation() for every d in ndpDesigns() — the
+ * precondition runFuzzCase() asserts with validate(). Non-fatal, so a
+ * fuzz driver can probe candidates while searching for a smaller repro.
  */
+std::optional<std::string> fuzzConfigViolation(const SystemConfig &cfg);
+
+/** True when fuzzConfigViolation(@p cfg) is empty. */
 bool fuzzConfigValid(const SystemConfig &cfg);
 
 /**

@@ -9,8 +9,10 @@
 #define ABNDP_COMMON_CONFIG_HH
 
 #include <cstdint>
+#include <optional>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "common/types.hh"
 #include "fault/fault_config.hh"
@@ -484,7 +486,15 @@ struct SystemConfig
         return travellerBytesPerUnit() / cachelineBytes / traveller.assoc;
     }
 
-    /** Sanity-check invariants; calls fatal() on bad user configs. */
+    /**
+     * The first config rule this configuration breaks, as the message
+     * validate() reports, or nullopt when every rule holds. This is
+     * the one rule list: the config fuzzer's validity filter reads it
+     * too (check::fuzzConfigValid).
+     */
+    std::optional<std::string> violation() const;
+
+    /** fatal() with the violation() message on a bad user config. */
     void validate() const;
 
     /** Pretty-print the configuration (bench_table1_config). */
@@ -507,6 +517,12 @@ enum class Design
 
 /** Short display name of a design ("B", "Sm", ...). */
 const char *designName(Design d);
+
+/** Every design point, in Table-2 order (host-only H first). */
+const std::vector<Design> &allDesigns();
+
+/** allDesigns() without the host-only H. */
+const std::vector<Design> &ndpDesigns();
 
 /** Apply a Table-2 design point on top of a base configuration. */
 SystemConfig applyDesign(SystemConfig base, Design d);

@@ -7,6 +7,24 @@
 namespace abndp
 {
 
+namespace
+{
+
+/** "B, Sm, ... or HLB-mig": the names of @p designs, for messages. */
+std::string
+designNameList(const std::vector<Design> &designs)
+{
+    std::string list;
+    for (std::size_t i = 0; i < designs.size(); ++i) {
+        if (i > 0)
+            list += i + 1 == designs.size() ? " or " : ", ";
+        list += designName(designs[i]);
+    }
+    return list;
+}
+
+} // namespace
+
 RunMetrics
 runExperiment(const SystemConfig &base, Design d, const WorkloadSpec &spec,
               const ExperimentOptions &opts)
@@ -22,8 +40,8 @@ runExperiment(const SystemConfig &base, Design d, const WorkloadSpec &spec,
     if (d == Design::H) {
         if (cfg.serving.enabled())
             fatal("design H cannot run serving mode: the open-loop "
-                  "driver lives in NdpSystem (pick an NDP design: B, "
-                  "Sm, Sl, Sh, C or O)");
+                  "driver lives in NdpSystem (pick an NDP design: ",
+                  designNameList(ndpDesigns()), ")");
         HostSystem host(cfg);
         metrics = host.run(*wl);
     } else {
@@ -47,8 +65,8 @@ designFromName(const std::string &name)
     for (Design d : allDesigns())
         if (name == designName(d))
             return d;
-    fatal("unknown design '", name,
-          "' (expected H, B, Sm, Sl, Sh, C, O, HLB or HLB-mig)");
+    fatal("unknown design '", name, "' (expected ",
+          designNameList(allDesigns()), ")");
 }
 
 std::string
@@ -59,24 +77,6 @@ designToken(Design d)
         if (c == '-')
             c = '_';
     return tok;
-}
-
-const std::vector<Design> &
-allDesigns()
-{
-    static const std::vector<Design> designs{
-        Design::H, Design::B, Design::Sm, Design::Sl,
-        Design::Sh, Design::C, Design::O, Design::Hlb, Design::HlbM};
-    return designs;
-}
-
-const std::vector<Design> &
-ndpDesigns()
-{
-    static const std::vector<Design> designs{
-        Design::B, Design::Sm, Design::Sl, Design::Sh,
-        Design::C, Design::O, Design::Hlb, Design::HlbM};
-    return designs;
 }
 
 } // namespace abndp

@@ -50,10 +50,9 @@ RunMetrics runExperiment(const SystemConfig &base, Design d,
                          const ExperimentOptions &opts = {});
 
 /**
- * Parse a design name ("H", "B", "Sm", "Sl", "Sh", "C", "O", plus the
- * "HLB" / "HLB-mig" extensions) as printed by designName(); fatal()
- * with the valid set on anything else. Shared by every command-line
- * front end.
+ * Parse a design name as printed by designName(); fatal() with the
+ * valid set (every name in allDesigns()) on anything else. Shared by
+ * every command-line front end.
  */
 Design designFromName(const std::string &name);
 
@@ -63,12 +62,6 @@ Design designFromName(const std::string &name);
  * reject '-'.
  */
 std::string designToken(Design d);
-
-/** All designs: Table 2 (H, B, Sm, Sl, Sh, C, O) + HLB, HLB-mig. */
-const std::vector<Design> &allDesigns();
-
-/** The NDP designs (without the host-only H), incl. the HLB family. */
-const std::vector<Design> &ndpDesigns();
 
 } // namespace abndp
 

@@ -51,23 +51,15 @@ ensureBuiltins()
         policyMap().emplace("memmatch", simpleFactory<MemMatchPolicy>());
         policyMap().emplace("hybrid", simpleFactory<HybridPolicy>());
 
-        const CacheStyle trav = CacheStyle::TravellerSramTags;
-        designMap().emplace("H", DesignSpec{"local", false,
-                                            CacheStyle::None});
-        designMap().emplace("B", DesignSpec{"local", false,
-                                            CacheStyle::None});
-        designMap().emplace("Sm", DesignSpec{"memmatch", false,
-                                             CacheStyle::None});
-        designMap().emplace("Sl", DesignSpec{"memmatch", true,
-                                             CacheStyle::None});
-        designMap().emplace("Sh", DesignSpec{"hybrid", false,
-                                             CacheStyle::None});
-        designMap().emplace("C", DesignSpec{"memmatch", false, trav});
-        designMap().emplace("O", DesignSpec{"hybrid", false, trav});
-        designMap().emplace("HLB", DesignSpec{"hybrid", false, trav,
-                                              true, false});
-        designMap().emplace("HLB-mig", DesignSpec{"hybrid", false, trav,
-                                                  true, true});
+        // The Table-2 points are read back from applyDesign()'s table,
+        // so the registry cannot drift from the Design enum route.
+        for (Design d : allDesigns()) {
+            const SystemConfig c = applyDesign(SystemConfig{}, d);
+            designMap()[designName(d)] =
+                DesignSpec{builtinPolicyName(c.sched.policy),
+                           c.sched.workStealing, c.traveller.style,
+                           c.lb.enabled, c.lb.migration.enabled};
+        }
         return true;
     }();
     (void)seeded;

@@ -13,9 +13,9 @@
  *     registerDesignPoint("M", {"mine", false, CacheStyle::None});
  *     SystemConfig cfg = composeDesign(SystemConfig{}, "M");
  *
- * The built-in policies ("local", "memmatch", "hybrid") and the Table-2
- * design points (B, Sm, Sl, Sh, C, O, plus the host-only H) are seeded
- * on first use, so composeDesign() also understands the paper's names.
+ * The built-in policies ("local", "memmatch", "hybrid") and every
+ * design in allDesigns() (read back from applyDesign()) are seeded on
+ * first use, so composeDesign() also understands the paper's names.
  */
 
 #ifndef ABNDP_SCHED_POLICY_REGISTRY_HH

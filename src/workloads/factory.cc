@@ -114,4 +114,12 @@ representativeWorkloadNames()
     return names;
 }
 
+const std::vector<std::string> &
+servingWorkloadNames()
+{
+    static const std::vector<std::string> names{"kv", "knn", "sssp",
+                                                "astar"};
+    return names;
+}
+
 } // namespace abndp

@@ -78,6 +78,12 @@ const std::vector<std::string> &allWorkloadNames();
 /** The Figure 8/9 representative subset: pr, bfs, gcn, knn, spmv. */
 const std::vector<std::string> &representativeWorkloadNames();
 
+/**
+ * The point-query services serving mode can drive (QueryService
+ * workloads): kv, then the suite members that also serve queries.
+ */
+const std::vector<std::string> &servingWorkloadNames();
+
 } // namespace abndp
 
 #endif // ABNDP_WORKLOADS_FACTORY_HH

@@ -75,6 +75,60 @@ TEST(ConfigFuzzDeath, JsonRejectsUnknownKeyAndGarbage)
                  "no key/value pairs");
 }
 
+TEST(ConfigFuzzDeath, ValidityFilterAgreesWithValidate)
+{
+    // The fuzzer's validity filter and validate() read one rule list:
+    // a config the filter admits must run under every NDP design, and
+    // one validate() would reject must not survive minimization.
+    struct Row
+    {
+        const char *what;
+        void (*mutate)(SystemConfig &);
+        const char *fatalFragment; // nullptr: the config is valid
+    };
+    const Row rows[] = {
+        {"non-pow2 L1-D size",
+         [](SystemConfig &c) { c.l1d.sizeBytes = 48 << 10; },
+         "L1-D size \\(49152 bytes\\) must be a nonzero power of two"},
+        {"zero L1-I associativity",
+         [](SystemConfig &c) { c.l1i.assoc = 0; },
+         "L1-I associativity must be nonzero"},
+        {"negative pbHitNs", [](SystemConfig &c) { c.pbHitNs = -1.0; },
+         "pbHitNs must be non-negative"},
+        {"negative Traveller tag check",
+         [](SystemConfig &c) { c.traveller.tagCheckNs = -1.0; },
+         "traveller tagCheckNs and sramDataNs must be non-negative"},
+        {"link dropping every packet",
+         [](SystemConfig &c) {
+             c.fault.link.count = 1;
+             c.fault.link.dropProb = 1.0;
+         },
+         "link dropProb must be within"},
+        {"ECC retry on every read",
+         [](SystemConfig &c) { c.fault.dram.eccRetryProb = 1.0; },
+         "dram eccRetryProb must be within"},
+        {"TLB geometry while the TLB is off",
+         [](SystemConfig &c) {
+             c.tlb.enabled = false;
+             c.tlb.entries = 3;
+             c.tlb.assoc = 2;
+         },
+         nullptr},
+    };
+    for (const Row &row : rows) {
+        SystemConfig c = check::minimalFuzzBaseline();
+        row.mutate(c);
+        if (row.fatalFragment == nullptr) {
+            EXPECT_TRUE(check::fuzzConfigValid(c)) << row.what;
+            continue;
+        }
+        EXPECT_FALSE(check::fuzzConfigValid(c)) << row.what;
+        EXPECT_DEATH(applyDesign(c, Design::O).validate(),
+                     row.fatalFragment)
+            << row.what;
+    }
+}
+
 TEST(ConfigFuzz, MetricsFingerprintSeparatesFields)
 {
     RunMetrics a;

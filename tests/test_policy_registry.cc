@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/ndp_system.hh"
 #include "driver/experiment.hh"
@@ -88,12 +90,20 @@ TEST(PolicyRegistryDeathTest, UnknownNamesAreFatal)
 TEST(PolicyRegistry, ComposeDesignMatchesApplyDesign)
 {
     SystemConfig base;
-    for (const char *name : {"B", "Sm", "Sl", "Sh", "C", "O"}) {
+    const auto registered = registeredDesignPoints();
+    for (Design d : allDesigns()) {
+        const std::string name = designName(d);
+        EXPECT_EQ(designFromName(name), d) << name;
+        EXPECT_TRUE(contains(registered, name)) << name;
+
         SystemConfig byName = composeDesign(base, name);
-        SystemConfig byEnum = applyDesign(base, designFromName(name));
+        SystemConfig byEnum = applyDesign(base, d);
         EXPECT_EQ(byName.sched.workStealing, byEnum.sched.workStealing)
             << name;
         EXPECT_EQ(byName.traveller.style, byEnum.traveller.style) << name;
+        EXPECT_EQ(byName.lb.enabled, byEnum.lb.enabled) << name;
+        EXPECT_EQ(byName.lb.migration.enabled,
+                  byEnum.lb.migration.enabled) << name;
         EXPECT_DOUBLE_EQ(byName.sched.hybridAlpha,
                          byEnum.sched.hybridAlpha) << name;
         // The name route sets policyName; both must build the same
@@ -101,6 +111,13 @@ TEST(PolicyRegistry, ComposeDesignMatchesApplyDesign)
         EXPECT_STREQ(makeConfiguredPolicy(byName)->name(),
                      makeConfiguredPolicy(byEnum)->name()) << name;
     }
+
+    // The NDP list is every design but the host-only H, in order.
+    std::vector<Design> ndp;
+    for (Design d : allDesigns())
+        if (d != Design::H)
+            ndp.push_back(d);
+    EXPECT_EQ(ndpDesigns(), ndp);
 }
 
 TEST(PolicyRegistry, NewPolicyComposesIntoRunnableDesign)

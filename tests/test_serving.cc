@@ -201,9 +201,10 @@ TEST(Serving, KvStreamServesAndVerifies)
 
 TEST(Serving, EveryQueryServiceWorkloadServes)
 {
-    // All four point-query services accept the open-loop stream and
-    // still pass their own end-to-end answer verification.
-    for (const char *name : {"kv", "knn", "sssp", "astar"}) {
+    // Every listed point-query service (the list the config fuzzer
+    // draws serving cases from) accepts the open-loop stream and still
+    // passes its own end-to-end answer verification.
+    for (const std::string &name : servingWorkloadNames()) {
         SCOPED_TRACE(name);
         auto cfg = servingConfig(Design::B, 300);
         RunMetrics m = serveOnce(cfg, WorkloadSpec::tiny(name));

@@ -105,8 +105,8 @@ main(int argc, char **argv)
         std::ostringstream buf;
         buf << ifs.rdbuf();
         check::FuzzCase c = check::fuzzCaseFromJson(buf.str());
-        if (!check::fuzzConfigValid(c.cfg))
-            fatal("repro config fails validity checks");
+        if (auto v = check::fuzzConfigViolation(c.cfg))
+            fatal("repro config fails validity checks under ", *v);
         c.cfg.validate();
         std::cout << "replaying " << replay << " (workload "
                   << c.workload << ", " << c.cfg.numUnits()
