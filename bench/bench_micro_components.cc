@@ -2,7 +2,8 @@
  * @file
  * Component microbenchmarks (google-benchmark): throughput of the hot
  * simulator primitives — camp mapping, cache probes, the event queue,
- * DRAM/network reservations, scheduler scoring and block migration.
+ * DRAM/network reservations, scheduler scoring, block migration and
+ * graph setup.
  * These guard the simulator's own performance, not the paper's
  * results.
  */
@@ -26,6 +27,7 @@
 #include "sched/scheduler.hh"
 #include "sim/bandwidth_meter.hh"
 #include "sim/event_queue.hh"
+#include "workloads/graph_gen.hh"
 
 namespace abndp
 {
@@ -225,6 +227,30 @@ BM_MigrateBlock(benchmark::State &state)
     }
 }
 BENCHMARK(BM_MigrateBlock);
+
+/** Graph setup: a scale-16 undirected R-MAT graph (edge draws + CSR). */
+void
+BM_MakeRmatGraph(benchmark::State &state)
+{
+    RmatParams p;
+    p.scale = 16;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(makeRmatGraph(p).numEdges());
+}
+BENCHMARK(BM_MakeRmatGraph)->Unit(benchmark::kMillisecond);
+
+/** PageRank's in-edge CSR of a scale-16 directed R-MAT graph. */
+void
+BM_PageRankTranspose(benchmark::State &state)
+{
+    RmatParams p;
+    p.scale = 16;
+    p.undirected = false;
+    Graph g = makeRmatGraph(p);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(g.transposed().numEdges());
+}
+BENCHMARK(BM_PageRankTranspose)->Unit(benchmark::kMillisecond);
 
 void
 BM_SchedulerChoose(benchmark::State &state)

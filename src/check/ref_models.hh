@@ -33,6 +33,7 @@
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "sched/lb/data_hotness.hh"
+#include "workloads/graph_gen.hh"
 
 namespace abndp
 {
@@ -992,6 +993,101 @@ class RefHomeIndirection
   private:
     std::map<Addr, UnitId> map;
 };
+
+/** A CSR as two plain vectors: what the reference graph builders return. */
+struct RefCsr
+{
+    std::vector<std::uint64_t> rowPtr;
+    std::vector<std::uint32_t> colIdx;
+};
+
+/**
+ * Reference CSR builder: the same contract as Graph::fromEdges, built
+ * the obvious way. Append the reversed copy when undirected, drop
+ * self-loops, one global std::sort + std::unique of the (src, dst)
+ * pairs, then bucket by source. Out-of-range endpoints are checked
+ * after the self-loops are gone, so out-of-range self-loops vanish.
+ */
+inline RefCsr
+refCsrFromEdges(std::uint32_t numVertices,
+                std::vector<std::pair<std::uint32_t, std::uint32_t>> edges,
+                bool undirected)
+{
+    if (undirected) {
+        std::size_t n = edges.size();
+        edges.reserve(n * 2);
+        for (std::size_t i = 0; i < n; ++i)
+            edges.emplace_back(edges[i].second, edges[i].first);
+    }
+    std::erase_if(edges, [](const auto &e) { return e.first == e.second; });
+    std::sort(edges.begin(), edges.end());
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+
+    RefCsr g;
+    g.rowPtr.assign(numVertices + 1, 0);
+    for (const auto &[src, dst] : edges) {
+        abndp_assert(src < numVertices && dst < numVertices,
+                     "edge endpoint out of range");
+        ++g.rowPtr[src + 1];
+    }
+    for (std::uint32_t v = 0; v < numVertices; ++v)
+        g.rowPtr[v + 1] += g.rowPtr[v];
+    g.colIdx.resize(edges.size());
+    std::vector<std::uint64_t> cursor(g.rowPtr.begin(), g.rowPtr.end() - 1);
+    for (const auto &[src, dst] : edges)
+        g.colIdx[cursor[src]++] = dst;
+    return g;
+}
+
+/**
+ * Reference transpose: list every arc reversed and rebuild through
+ * refCsrFromEdges (directed), i.e. with a global sort.
+ */
+inline RefCsr
+refTranspose(const RefCsr &g)
+{
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> rev;
+    rev.reserve(g.colIdx.size());
+    auto n = static_cast<std::uint32_t>(g.rowPtr.size() - 1);
+    for (std::uint32_t v = 0; v < n; ++v)
+        for (std::uint64_t i = g.rowPtr[v]; i < g.rowPtr[v + 1]; ++i)
+            rev.emplace_back(g.colIdx[i], v);
+    return refCsrFromEdges(n, std::move(rev), false);
+}
+
+/**
+ * Reference R-MAT edge stream: one Rng::uniform() per bit, its
+ * quadrant picked by an if-chain of double compares against the
+ * running sums a, a+b, a+b+c. makeRmatGraph must draw the same edges.
+ */
+inline std::vector<std::pair<std::uint32_t, std::uint32_t>>
+refRmatEdges(const RmatParams &p)
+{
+    std::uint32_t n = 1u << p.scale;
+    std::uint64_t m = static_cast<std::uint64_t>(n) * p.edgeFactor;
+    Rng rng(p.seed);
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+    edges.reserve(m);
+    for (std::uint64_t e = 0; e < m; ++e) {
+        std::uint32_t src = 0, dst = 0;
+        for (std::uint32_t bit = 0; bit < p.scale; ++bit) {
+            double r = rng.uniform();
+            std::uint32_t quad;
+            if (r < p.a)
+                quad = 0;
+            else if (r < p.a + p.b)
+                quad = 1;
+            else if (r < p.a + p.b + p.c)
+                quad = 2;
+            else
+                quad = 3;
+            src = (src << 1) | (quad >> 1);
+            dst = (dst << 1) | (quad & 1);
+        }
+        edges.emplace_back(src, dst);
+    }
+    return edges;
+}
 
 } // namespace check
 } // namespace abndp

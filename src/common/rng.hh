@@ -73,7 +73,11 @@ class Rng
             (static_cast<unsigned __int128>(next()) * bound) >> 64);
     }
 
-    /** Uniform double in [0, 1). */
+    /**
+     * Uniform double in [0, 1): exactly (next() >> 11) * 2^-53.
+     * makeRmatGraph compares raw draws against thresholds derived
+     * from this form, so keep it.
+     */
     double
     uniform()
     {

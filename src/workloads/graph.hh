@@ -26,9 +26,14 @@ class Graph
     /**
      * Build from an edge list. Self-loops are dropped and duplicate
      * edges collapsed. If @p undirected, both directions are stored.
+     * Every row's neighbours are sorted ascending. Counting sort by
+     * source, then a sort of each row: O(V + E log maxDegree).
      */
     static Graph fromEdges(std::uint32_t numVertices,
                            std::vector<Edge> edges, bool undirected);
+
+    /** Every arc reversed; the same CSR fromEdges() would build. O(V + E). */
+    Graph transposed() const;
 
     std::uint32_t numVertices() const { return nV; }
     std::uint64_t numEdges() const { return colIdx.size(); }

@@ -1,5 +1,7 @@
 #include "workloads/graph_gen.hh"
 
+#include <cmath>
+
 #include "common/logging.hh"
 #include "common/rng.hh"
 
@@ -9,26 +11,31 @@ namespace abndp
 Graph
 makeRmatGraph(const RmatParams &p)
 {
+    abndp_assert(p.a >= 0 && p.b >= 0 && p.c >= 0,
+                 "bad R-MAT probabilities");
     abndp_assert(p.a + p.b + p.c < 1.0, "bad R-MAT probabilities");
     std::uint32_t n = 1u << p.scale;
     std::uint64_t m = static_cast<std::uint64_t>(n) * p.edgeFactor;
     Rng rng(p.seed);
+
+    // Rng::uniform() is exactly (next() >> 11) * 2^-53, so
+    // `uniform() < x` holds iff (next() >> 11) < ceil(x * 2^53). The
+    // cumulative thresholds are monotone (a, b, c >= 0), so the
+    // quadrant of one draw is the number of thresholds it reaches.
+    auto threshold = [](double x) {
+        return static_cast<std::uint64_t>(std::ceil(std::ldexp(x, 53)));
+    };
+    const std::uint64_t toB = threshold(p.a);
+    const std::uint64_t toC = threshold(p.a + p.b);
+    const std::uint64_t toD = threshold(p.a + p.b + p.c);
 
     std::vector<Graph::Edge> edges;
     edges.reserve(m);
     for (std::uint64_t e = 0; e < m; ++e) {
         std::uint32_t src = 0, dst = 0;
         for (std::uint32_t bit = 0; bit < p.scale; ++bit) {
-            double r = rng.uniform();
-            std::uint32_t quad;
-            if (r < p.a)
-                quad = 0;
-            else if (r < p.a + p.b)
-                quad = 1;
-            else if (r < p.a + p.b + p.c)
-                quad = 2;
-            else
-                quad = 3;
+            std::uint64_t r = rng.next() >> 11;
+            std::uint32_t quad = (r >= toB) + (r >= toC) + (r >= toD);
             src = (src << 1) | (quad >> 1);
             dst = (dst << 1) | (quad & 1);
         }

@@ -31,7 +31,8 @@ loadEdgeList(const std::string &path, bool undirected)
         if (!(iss >> src >> dst))
             fatal("malformed edge at ", path, ":", lineno, ": '", line,
                   "'");
-        if (src > 0xffffffffull || dst > 0xffffffffull)
+        // The vertex count max_id + 1 must fit in 32 bits too.
+        if (src >= 0xffffffffull || dst >= 0xffffffffull)
             fatal("vertex id out of range at ", path, ":", lineno);
         edges.emplace_back(static_cast<std::uint32_t>(src),
                            static_cast<std::uint32_t>(dst));

@@ -7,27 +7,11 @@
 namespace abndp
 {
 
-namespace
-{
-
-/** Reverse every arc (rank flows opposite to the link direction). */
-Graph
-transposeOf(const Graph &g)
-{
-    std::vector<Graph::Edge> rev;
-    rev.reserve(g.numEdges());
-    for (std::uint32_t v = 0; v < g.numVertices(); ++v)
-        for (std::uint32_t n : g.neighbors(v))
-            rev.emplace_back(n, v);
-    return Graph::fromEdges(g.numVertices(), std::move(rev), false);
-}
-
-} // namespace
-
 PageRankWorkload::PageRankWorkload(Graph graph_, std::uint32_t maxIters,
                                    double epsilon, Placement placement)
     : graph(std::move(graph_)),
-      transpose(transposeOf(graph)),
+      // Rank flows opposite to the link direction.
+      transpose(graph.transposed()),
       // 16-byte record: {rank, 1/outDegree}.
       layout(transpose, 16, 4, placement),
       maxIters(maxIters),

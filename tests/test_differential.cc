@@ -27,6 +27,8 @@
 #include "serve/zipf.hh"
 #include "sim/bandwidth_meter.hh"
 #include "sim/event_queue.hh"
+#include "workloads/graph.hh"
+#include "workloads/graph_gen.hh"
 
 namespace abndp
 {
@@ -706,6 +708,154 @@ TEST(ZipfSamplerDifferential, EmpiricalFrequencyTracksExactPmf)
     EXPECT_GT(mass, 0.5);
     // Skew sanity: the head key dominates the median key.
     EXPECT_GT(count[0], 8 * count[keys / 2]);
+}
+
+// ---- Graph builders vs the sort-based references ---------------------
+
+namespace
+{
+
+/**
+ * Seeded edge list over @p n vertices: about 10% self-loops, 20%
+ * repeats of an earlier edge, 25% touching one hub vertex, and no
+ * endpoint in the top quarter of the id range (isolated vertices).
+ */
+std::vector<Graph::Edge>
+drawEdgeList(Rng &gen, std::uint32_t n, std::uint64_t m)
+{
+    auto reach = n - n / 4;
+    auto hub = static_cast<std::uint32_t>(gen.below(reach));
+    std::vector<Graph::Edge> edges;
+    for (std::uint64_t i = 0; i < m; ++i) {
+        auto src = static_cast<std::uint32_t>(gen.below(reach));
+        auto dst = static_cast<std::uint32_t>(gen.below(reach));
+        switch (gen.below(20)) {
+          case 0:
+          case 1:
+            dst = src;
+            break;
+          case 2:
+          case 3:
+          case 4:
+          case 5:
+            if (!edges.empty()) {
+                edges.push_back(edges[gen.below(edges.size())]);
+                continue;
+            }
+            break;
+          case 6:
+          case 7:
+          case 8:
+            src = hub;
+            break;
+          case 9:
+          case 10:
+            dst = hub;
+            break;
+          default:
+            break;
+        }
+        edges.emplace_back(src, dst);
+    }
+    return edges;
+}
+
+} // namespace
+
+class GraphFromEdgesDifferential : public ::testing::TestWithParam<bool>
+{
+};
+
+TEST_P(GraphFromEdgesDifferential, MatchesSortReference)
+{
+    const bool undirected = GetParam();
+    auto expectSame = [&](std::uint32_t n,
+                          const std::vector<Graph::Edge> &edges) {
+        Graph g = Graph::fromEdges(n, edges, undirected);
+        check::RefCsr ref = check::refCsrFromEdges(n, edges, undirected);
+        ASSERT_EQ(g.numVertices(), n);
+        ASSERT_EQ(g.row(), ref.rowPtr);
+        ASSERT_EQ(g.col(), ref.colIdx);
+    };
+
+    expectSame(0, {});
+    expectSame(7, {});
+    expectSame(3, {{0, 0}, {1, 1}, {2, 2}});
+    expectSame(4, {{3, 0}, {3, 0}, {0, 3}, {2, 1}, {1, 2}, {2, 1}});
+
+    Rng gen(0x67a9c5u);
+    for (int trial = 0; trial < 300; ++trial) {
+        auto n = static_cast<std::uint32_t>(1 + gen.below(400));
+        std::uint64_t m = gen.below(3000);
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        expectSame(n, drawEdgeList(gen, n, m));
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Directions, GraphFromEdgesDifferential,
+                         ::testing::Bool(), [](const auto &info) {
+                             return std::string(info.param ? "undirected"
+                                                           : "directed");
+                         });
+
+TEST(GraphRmatDifferential, MatchesDoubleCompareLoop)
+{
+    // Default and skewed quadrant weights, an all-equal split whose
+    // thresholds are exact binary fractions, an empty quadrant (b = 0:
+    // two equal thresholds) and a = b = c = 0 (every draw hits d).
+    struct Weights
+    {
+        double a, b, c;
+    };
+    const Weights weights[] = {{0.57, 0.19, 0.19},
+                               {0.45, 0.15, 0.25},
+                               {0.25, 0.25, 0.25},
+                               {0.7, 0.0, 0.29},
+                               {0.0, 0.0, 0.0}};
+    for (std::uint32_t scale = 9; scale <= 14; ++scale) {
+        for (const Weights &w : weights) {
+            RmatParams p;
+            p.a = w.a;
+            p.b = w.b;
+            p.c = w.c;
+            p.scale = scale;
+            p.edgeFactor = 4 + scale % 3 * 4;
+            p.seed = 1000 + scale;
+            p.undirected = scale % 2 == 0;
+            SCOPED_TRACE("scale " + std::to_string(scale) + " a "
+                         + std::to_string(w.a));
+            Graph g = makeRmatGraph(p);
+            check::RefCsr ref = check::refCsrFromEdges(
+                1u << scale, check::refRmatEdges(p), p.undirected);
+            ASSERT_EQ(g.row(), ref.rowPtr);
+            ASSERT_EQ(g.col(), ref.colIdx);
+        }
+    }
+}
+
+TEST(GraphTransposeDifferential, MatchesSortReference)
+{
+    auto expectSame = [](const Graph &g) {
+        Graph t = g.transposed();
+        check::RefCsr ref = check::refTranspose({g.row(), g.col()});
+        ASSERT_EQ(t.numVertices(), g.numVertices());
+        ASSERT_EQ(t.row(), ref.rowPtr);
+        ASSERT_EQ(t.col(), ref.colIdx);
+    };
+
+    expectSame(Graph::fromEdges(0, {}, false));
+    expectSame(Graph::fromEdges(5, {}, false));
+    Rng gen(0x7a25u);
+    for (int trial = 0; trial < 200; ++trial) {
+        auto n = static_cast<std::uint32_t>(1 + gen.below(400));
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        expectSame(Graph::fromEdges(n, drawEdgeList(gen, n, gen.below(3000)),
+                                    trial % 2 == 1));
+    }
+    RmatParams p;
+    p.scale = 12;
+    p.undirected = false;
+    expectSame(makeRmatGraph(p));
 }
 
 } // namespace abndp

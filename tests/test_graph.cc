@@ -110,4 +110,72 @@ TEST(GraphGen, RowPointersAreMonotonic)
     EXPECT_EQ(g.row().back(), g.numEdges());
 }
 
+namespace
+{
+
+/** FNV-1a over every rowPtr entry (8 bytes, LE) then every colIdx entry (4). */
+std::uint64_t
+csrDigest(const Graph &g)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto feed = [&h](std::uint64_t v, int bytes) {
+        for (int i = 0; i < bytes; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (std::uint64_t r : g.row())
+        feed(r, 8);
+    for (std::uint32_t c : g.col())
+        feed(c, 4);
+    return h;
+}
+
+} // namespace
+
+TEST(GraphGen, RmatCsrDigestPinned)
+{
+    // Every benchmark graph is an R-MAT graph: a change to the edge
+    // stream or to CSR construction fails here by name before it
+    // shows up as drift in the goldens.
+    struct Case
+    {
+        std::uint32_t scale;
+        std::uint64_t seed;
+        bool undirected;
+        double a, b, c;
+        std::uint64_t edges;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {10, 42, true, 0.57, 0.19, 0.19, 20834, 0xdb19e6a71b2f8f47ull},
+        {12, 7, false, 0.57, 0.19, 0.19, 53475, 0xdfe693fe054b2849ull},
+        {14, 1, true, 0.57, 0.19, 0.19, 426214, 0x2a94596264b49a4eull},
+        {11, 1009, false, 0.45, 0.15, 0.25, 31488, 0xe404114a27f42945ull},
+    };
+    for (const Case &c : cases) {
+        RmatParams p;
+        p.scale = c.scale;
+        p.seed = c.seed;
+        p.undirected = c.undirected;
+        p.a = c.a;
+        p.b = c.b;
+        p.c = c.c;
+        Graph g = makeRmatGraph(p);
+        EXPECT_EQ(g.numEdges(), c.edges) << "scale " << c.scale;
+        EXPECT_EQ(csrDigest(g), c.digest) << "scale " << c.scale;
+    }
+}
+
+TEST(GraphGenDeath, NegativeRmatProbabilityPanics)
+{
+    RmatParams p;
+    p.scale = 4;
+    p.b = -0.1;
+    EXPECT_DEATH(makeRmatGraph(p), "bad R-MAT probabilities");
+    p.b = 0.19;
+    p.c = -0.01;
+    EXPECT_DEATH(makeRmatGraph(p), "bad R-MAT probabilities");
+}
+
 } // namespace abndp

@@ -122,4 +122,15 @@ TEST(GraphIoDeath, MalformedLineIsFatal)
     EXPECT_DEATH(loadEdgeList(f.path, false), "malformed");
 }
 
+TEST(GraphIoDeath, MaxVertexIdIsFatal)
+{
+    // 2^32 - 1 fits a uint32 id, but the vertex count would wrap to 0.
+    TempFile f;
+    {
+        std::ofstream out(f.path);
+        out << "0 1\n4294967295 2\n";
+    }
+    EXPECT_DEATH(loadEdgeList(f.path, false), "vertex id out of range");
+}
+
 } // namespace abndp
