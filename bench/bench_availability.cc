@@ -32,7 +32,7 @@ main(int argc, char **argv)
     using namespace abndp;
     using namespace abndp::bench;
 
-    Options opts = parseOptions(argc, argv, /*sweepBench=*/true);
+    Options opts = parseOptions(argc, argv);
     const double failAtNs = opts.flags.getDouble("fail-at-ns", 2000.0);
     const std::string outPath = opts.flags.getString("out", "");
 

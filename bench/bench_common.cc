@@ -11,12 +11,12 @@ namespace bench
 {
 
 Options
-parseOptions(int argc, char **argv, bool sweepBench)
+parseOptions(int argc, char **argv, std::uint32_t defaultScale)
 {
     Options opts;
     opts.flags.parse(argc, argv);
     opts.scale = static_cast<std::uint32_t>(
-        opts.flags.getUint("scale", sweepBench ? 13 : 14));
+        opts.flags.getUint("scale", defaultScale));
     opts.verify = opts.flags.getBool("verify", false);
     opts.seed = opts.flags.getUint("seed", 42);
     opts.base.seed = opts.flags.getUint("sim-seed", 1);
@@ -41,16 +41,6 @@ specFor(const std::string &name, const Options &opts)
         spec.astarQueries = 8;
     }
     return spec;
-}
-
-RunMetrics
-runCell(const SystemConfig &base, Design d, const WorkloadSpec &spec,
-        bool verify)
-{
-    ExperimentOptions eopts;
-    eopts.verify = verify;
-    eopts.fatalOnVerifyFailure = true;
-    return runExperiment(base, d, spec, eopts);
 }
 
 CellSpec

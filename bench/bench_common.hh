@@ -1,9 +1,9 @@
 /**
  * @file
- * Shared infrastructure for the per-table/per-figure benchmark binaries.
- * Every binary runs standalone with small defaults (so that looping over
- * build/bench/* regenerates all results) and accepts --scale / --seed /
- * --verify flags to change fidelity.
+ * Shared infrastructure for the benchmark binaries: bench_paper (every
+ * paper table and figure) and the extension benches. Every binary runs
+ * standalone with small defaults and accepts --scale / --seed /
+ * --verify / --threads flags to change fidelity.
  */
 
 #ifndef ABNDP_BENCH_BENCH_COMMON_HH
@@ -33,7 +33,7 @@ struct Options
     CliFlags flags;
     /** Shared run-output flags (driver/run_flags.hh). */
     RunFlags run;
-    /** Graph scale for graph workloads (sweeps default smaller). */
+    /** Graph scale for graph workloads (--scale). */
     std::uint32_t scale = 14;
     bool verify = false;
     std::uint64_t seed = 42;
@@ -41,18 +41,12 @@ struct Options
     std::uint32_t threads = 0;
 };
 
-/**
- * Parse the common flags. @p sweepBench picks the smaller default scale
- * used by the parameter sweeps (Figures 11-18).
- */
-Options parseOptions(int argc, char **argv, bool sweepBench = false);
+/** Parse the common flags; --scale defaults to @p defaultScale. */
+Options parseOptions(int argc, char **argv,
+                     std::uint32_t defaultScale = 13);
 
 /** Workload spec sized according to the options. */
 WorkloadSpec specFor(const std::string &name, const Options &opts);
-
-/** Run one (design, workload) cell. */
-RunMetrics runCell(const SystemConfig &base, Design d,
-                   const WorkloadSpec &spec, bool verify);
 
 /** Cell spec with the benchmark's standard verify behavior applied. */
 CellSpec cellFor(Design d, const WorkloadSpec &spec, const Options &opts);

@@ -36,7 +36,7 @@ main(int argc, char **argv)
     using namespace abndp;
     using namespace abndp::bench;
 
-    Options opts = parseOptions(argc, argv, /*sweepBench=*/true);
+    Options opts = parseOptions(argc, argv);
     const std::string outPath = opts.flags.getString("out", "");
     const std::vector<std::string> workloads =
         splitCsv(opts.flags.getString("workloads", "pr,bfs"));

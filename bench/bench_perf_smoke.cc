@@ -34,10 +34,7 @@ main(int argc, char **argv)
     using namespace abndp;
     using namespace abndp::bench;
 
-    Options opts = parseOptions(argc, argv, /*sweepBench=*/true);
-    std::uint32_t scale = static_cast<std::uint32_t>(
-        opts.flags.getUint("scale", 12));
-    opts.scale = scale;
+    Options opts = parseOptions(argc, argv, /*defaultScale=*/12);
     const std::string outPath = opts.flags.getString("out", "");
 
     // Default grid: two contrasting workloads on the baseline and the
@@ -80,7 +77,7 @@ main(int argc, char **argv)
     };
     std::ostringstream json;
     json << "{\"bench\":\"perf_smoke\""
-         << ",\"scale\":" << scale
+         << ",\"scale\":" << opts.scale
          << ",\"workloads\":\"" << joinCsv(wls) << "\""
          << ",\"designs\":\"" << joinCsv(designNames) << "\""
          << ",\"threads\":" << threads

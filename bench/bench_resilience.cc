@@ -35,7 +35,7 @@ main(int argc, char **argv)
     using namespace abndp;
     using namespace abndp::bench;
 
-    Options opts = parseOptions(argc, argv, /*sweepBench=*/true);
+    Options opts = parseOptions(argc, argv);
     const auto linkFaults = static_cast<std::uint32_t>(
         opts.flags.getUint("link-faults", 0));
     const double dropProb = opts.flags.getDouble("drop-prob", 0.05);

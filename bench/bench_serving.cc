@@ -49,7 +49,7 @@ main(int argc, char **argv)
     using namespace abndp;
     using namespace abndp::bench;
 
-    Options opts = parseOptions(argc, argv, /*sweepBench=*/true);
+    Options opts = parseOptions(argc, argv);
     const std::uint64_t requests =
         opts.flags.getUint("requests", 1000000);
     const double sloNs = opts.flags.getDouble("slo-ns", 4000.0);

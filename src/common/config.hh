@@ -497,7 +497,7 @@ struct SystemConfig
     /** fatal() with the violation() message on a bad user config. */
     void validate() const;
 
-    /** Pretty-print the configuration (bench_table1_config). */
+    /** Pretty-print the configuration (bench_paper --figure=table1). */
     void print(std::ostream &os) const;
 };
 
