@@ -63,8 +63,8 @@ printUsage()
         "            --points/--knn-points/--queries/--astar-queries\n"
         "            --explicit-hints (programmer hint.workload)\n"
         "Output:     --stats (registry dump + host time) --json\n"
-        "            --print-config --trace=FILE (per-epoch CSV) --heatmap\n"
-        "            --stats-interval=N (dump deltas every N epochs)\n"
+        "            --print-config --heatmap\n"
+        "            --stats-interval=N (deltas every N epochs/windows)\n"
         "            --stats-out=FILE (interval dump target)\n"
         "            --trace-out=FILE (Chrome/Perfetto trace JSON)\n"
         "            --trace-buffer-events=N (tracer ring capacity)\n"
@@ -128,7 +128,6 @@ main(int argc, char **argv)
         cfg.sched.exhaustiveScoring = false;
     cfg.maxEpochs = flags.getUint("max-epochs", 0);
     cfg.seed = flags.getUint("sim-seed", 1);
-    cfg.traceFile = flags.getString("trace", "");
     cfg.traceBufferEvents =
         flags.getUint("trace-buffer-events", cfg.traceBufferEvents);
     applyRunFlags(parseRunFlags(flags, /*threadsDefault=*/1), cfg);

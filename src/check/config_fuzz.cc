@@ -547,74 +547,17 @@ metricsFingerprint(const RunMetrics &m)
 {
     std::ostringstream oss;
     oss << std::hexfloat;
-    auto field = [&oss](const auto &v) { oss << v << ';'; };
-    auto vec = [&oss](const auto &vs) {
-        oss << vs.size() << '[';
-        for (const auto &v : vs)
-            oss << v << ',';
-        oss << "];";
-    };
-    field(m.ticks);
-    field(m.epochs);
-    field(m.tasks);
-    field(m.interHops);
-    field(m.intraTraversals);
-    field(m.energy.coreSramPj);
-    field(m.energy.dramMemPj);
-    field(m.energy.dramCachePj);
-    field(m.energy.netPj);
-    field(m.energy.staticPj);
-    vec(m.coreActiveTicks);
-    vec(m.epochTicks);
-    vec(m.epochBusyTicks);
-    vec(m.epochTasks);
-    field(m.campHits);
-    field(m.campMisses);
-    field(m.cacheInserts);
-    field(m.pbHits);
-    field(m.pbLateHits);
-    field(m.pbMisses);
-    field(m.l1Hits);
-    field(m.l1Misses);
-    field(m.stealAttempts);
-    field(m.stolenTasks);
-    field(m.forwardedTasks);
-    field(m.schedDecisions);
-    field(m.dramReads);
-    field(m.dramWrites);
-    field(m.dramRowMisses);
-    field(m.dramRowHits);
-    field(m.dramActStalls);
-    field(m.netDropped);
-    field(m.netRetries);
-    field(m.dramEccRetries);
-    field(m.unitsFailed);
-    field(m.tasksRecovered);
-    field(m.tasksRedispatched);
-    field(m.recoveryTrafficBytes);
-    field(m.servingInjected);
-    field(m.servingRejected);
-    field(m.servingCompletedDirect);
-    field(m.servingCompletedRecovered);
-    field(m.servingSloMisses);
-    field(m.servingWindows);
-    field(m.servingP50Ns);
-    field(m.servingP95Ns);
-    field(m.servingP99Ns);
-    field(m.servingP999Ns);
-    field(m.servingMeanNs);
-    field(m.servingGoodputQps);
-    field(m.servingSloMissRate);
-    field(m.tasksShedIntra);
-    field(m.tasksShedInter);
-    field(m.blocksMigrated);
-    field(m.migrationInvalidations);
-    field(m.migrationTrafficBytes);
-    field(m.readLatMeanNs);
-    field(m.readLatMaxNs);
-    field(m.simEvents);
-    // hostSeconds deliberately excluded: it is the one sanctioned
-    // wall-clock measurement and never deterministic.
+    for (const MetricRow &row : metricRows())
+        row.visit(m, [&oss](const auto &v) {
+            if constexpr (std::is_arithmetic_v<std::decay_t<decltype(v)>>) {
+                oss << v << ';';
+            } else {
+                oss << v.size() << '[';
+                for (const auto &x : v)
+                    oss << x << ',';
+                oss << "];";
+            }
+        });
     return oss.str();
 }
 

@@ -73,9 +73,9 @@ std::optional<std::string> fuzzConfigViolation(const SystemConfig &cfg);
 bool fuzzConfigValid(const SystemConfig &cfg);
 
 /**
- * Deterministic digest of a run: every RunMetrics field except the
- * host-side self-measurement. Two runs of the same config must match
- * byte-for-byte.
+ * Deterministic digest of a run: every metricRows() field, that is
+ * every RunMetrics field except the host-side self-measurement. Two
+ * runs of the same config must match byte-for-byte.
  */
 std::string metricsFingerprint(const RunMetrics &m);
 

@@ -277,6 +277,10 @@ SystemConfig::violation() const
     if (!traceOut.empty() && traceBufferEvents == 0)
         return concat("traceBufferEvents must be nonzero when event "
                       "tracing is enabled (--trace-out)");
+    if (!statsOut.empty() && statsInterval == 0)
+        return concat("statsOut (--stats-out) holds the interval dumps, "
+                      "so it needs a nonzero statsInterval "
+                      "(--stats-interval)");
 
     const auto &df = fault.dram;
     if (df.eccRetryProb < 0.0 || df.eccRetryProb >= 1.0)

@@ -424,8 +424,6 @@ struct SystemConfig
     std::uint64_t seed = 1;
     /** Cap on bulk-synchronous epochs (0 = run to completion). */
     std::uint64_t maxEpochs = 0;
-    /** Optional per-epoch CSV trace file ("" = disabled). */
-    std::string traceFile;
 
     // ---- Observability (src/obs; see docs/OBSERVABILITY.md) ----
     /**
@@ -440,11 +438,12 @@ struct SystemConfig
     std::uint64_t traceBufferEvents = 1ull << 20;
     /**
      * Dump interval stats from the hierarchical registry every N
-     * bulk-synchronous epochs (0 = disabled). Counters print as
-     * per-interval deltas, gauges as current values.
+     * bulk-synchronous epochs, or every N windows of a serving run
+     * (0 = disabled). Counters print as per-interval deltas, gauges
+     * as current values.
      */
     std::uint64_t statsInterval = 0;
-    /** Interval-stats output path ("" = stdout). */
+    /** Interval-stats output path ("" = stdout; needs statsInterval). */
     std::string statsOut;
 
     // ---- Correctness checking (src/check; see docs/TESTING.md) ----

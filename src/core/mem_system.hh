@@ -123,19 +123,7 @@ class MemSystem
 
     std::uint64_t campHits() const { return nCampHits.value(); }
     std::uint64_t campMisses() const { return nCampMisses.value(); }
-    std::uint64_t homeDirectReads() const { return nHomeDirect.value(); }
     std::uint64_t cacheInsertions() const { return nInserts.value(); }
-
-    // Migration accounting (all zero when lb is unconfigured).
-    std::uint64_t blocksMigrated() const { return nMigrated.value(); }
-    std::uint64_t migrationInvalidations() const
-    {
-        return nMigrationInvalidations.value();
-    }
-    std::uint64_t migrationTrafficBytes() const
-    {
-        return nMigrationTraffic.value();
-    }
     const HomeIndirection &homeIndirection() const { return indirection; }
 
     /**

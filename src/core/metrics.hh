@@ -1,7 +1,10 @@
 /**
  * @file
  * Metrics collected from one simulated run; the raw material for every
- * table and figure of the evaluation.
+ * table and figure of the evaluation. RunMetrics is a typed view of
+ * the run's stats registry: metricRows() maps each field to the
+ * registry path it is read from, and the config fuzzer's fingerprint
+ * walks the same rows.
  */
 
 #ifndef ABNDP_CORE_METRICS_HH
@@ -9,6 +12,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "common/types.hh"
@@ -16,6 +21,11 @@
 
 namespace abndp
 {
+
+namespace obs
+{
+class StatsRegistry;
+} // namespace obs
 
 /** Everything measured during one workload run on one system design. */
 struct RunMetrics
@@ -36,8 +46,6 @@ struct RunMetrics
 
     /** Duration of each bulk-synchronous epoch. */
     std::vector<Tick> epochTicks;
-    /** Total core-busy ticks accumulated in each epoch. */
-    std::vector<Tick> epochBusyTicks;
     /** Tasks executed in each epoch. */
     std::vector<std::uint64_t> epochTasks;
 
@@ -135,6 +143,9 @@ struct RunMetrics
      */
     double hostSeconds = 0.0;
 
+    /** Read every metricRows() field that has a path from @p reg. */
+    void harvest(const obs::StatsRegistry &reg);
+
     /** Simulator throughput: kernel events per host second. */
     double
     eventsPerSec() const
@@ -190,6 +201,44 @@ struct RunMetrics
         return total ? static_cast<double>(campHits) / total : 0.0;
     }
 };
+
+/** One deterministic RunMetrics field and where a run reads it from. */
+struct MetricRow
+{
+    /**
+     * StatsRegistry::read path, summed into a scalar or listed into a
+     * vector; nullptr when the run loop fills the field itself.
+     */
+    const char *path;
+    std::variant<std::uint64_t RunMetrics::*, double RunMetrics::*,
+                 std::vector<std::uint64_t> RunMetrics::*,
+                 double EnergyBreakdown::*>
+        field;
+    /** The value when @p path matches nothing; nullptr: it must. */
+    double (*ifAbsent)(const obs::StatsRegistry &) = nullptr;
+
+    /** Call @p f with a reference to this row's field of @p m. */
+    template <typename Metrics, typename F>
+    void
+    visit(Metrics &m, F &&f) const
+    {
+        std::visit(
+            [&](auto member) {
+                if constexpr (std::is_same_v<decltype(member),
+                                             double EnergyBreakdown::*>)
+                    f(m.energy.*member);
+                else
+                    f(m.*member);
+            },
+            field);
+    }
+};
+
+/**
+ * Every deterministic RunMetrics field, in declaration order
+ * (hostSeconds is wall-clock and has no row).
+ */
+const std::vector<MetricRow> &metricRows();
 
 } // namespace abndp
 

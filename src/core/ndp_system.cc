@@ -6,6 +6,7 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <utility>
 
 #include "check/machine_checker.hh"
 #include "common/logging.hh"
@@ -120,25 +121,13 @@ NdpSystem::buildStats()
     obs::StatNode &root = statsReg.root();
 
     obs::StatNode &sys = root.child("system");
-    sys.addValue("epochs",
-                 [this]() { return static_cast<double>(epochsDone); },
-                 obs::StatKind::Counter, true);
-    sys.addValue("tasks",
-                 [this]() { return static_cast<double>(totalTasks); },
-                 obs::StatKind::Counter, true);
-    sys.addValue("forwardedTasks",
-                 [this]() { return static_cast<double>(forwardedTasks); },
-                 obs::StatKind::Counter, true);
-    sys.addValue("stolenTasks",
-                 [this]() { return static_cast<double>(stolenTasks); },
-                 obs::StatKind::Counter, true);
-    sys.addValue("stealAttempts",
-                 [this]() { return static_cast<double>(stealAttempts); },
-                 obs::StatKind::Counter, true);
+    sys.addCounter("epochs", &epochsDone);
+    sys.addCounter("tasks", &totalTasks);
+    sys.addCounter("forwardedTasks", &forwardedTasks);
+    sys.addCounter("stolenTasks", &stolenTasks);
+    sys.addCounter("stealAttempts", &stealAttempts);
     sys.addValue("finalTick",
-                 [this]() {
-                     return static_cast<double>(lastCompletionTick);
-                 },
+                 [this]() { return static_cast<double>(lastCompletionTick); },
                  obs::StatKind::Gauge, true);
     sys.addValue("simEvents",
                  [this]() { return static_cast<double>(eq.executed()); },
@@ -159,9 +148,7 @@ NdpSystem::buildStats()
         // max / mean of per-unit executed-task counts (1.0 = balanced).
         double sum = 0.0, mx = 0.0;
         for (const auto &unit : units) {
-            double n = 0.0;
-            for (const auto &core : unit.cores)
-                n += static_cast<double>(core.tasksRun);
+            auto n = static_cast<double>(unit.tasksRun());
             sum += n;
             mx = std::max(mx, n);
         }
@@ -174,10 +161,7 @@ NdpSystem::buildStats()
         unitNames.push_back(std::to_string(u));
     sys.addVector("unitTasksRun", unitNames,
                   [this](std::size_t u) {
-                      double n = 0.0;
-                      for (const auto &core : units[u].cores)
-                          n += static_cast<double>(core.tasksRun);
-                      return n;
+                      return static_cast<double>(units[u].tasksRun());
                   },
                   obs::StatKind::Counter, true);
 
@@ -190,21 +174,17 @@ NdpSystem::buildStats()
                          return static_cast<double>(faults.downCount());
                      },
                      obs::StatKind::Gauge, true);
-        rec.addValue("tasksRecovered",
+        rec.addValue("unitsFailed",
                      [this]() {
-                         return static_cast<double>(tasksRecovered);
+                         return everFailed
+                             ? static_cast<double>(
+                                   faults.failedUnits().size())
+                             : 0.0;
                      },
                      obs::StatKind::Counter, true);
-        rec.addValue("tasksRedispatched",
-                     [this]() {
-                         return static_cast<double>(tasksRedispatched);
-                     },
-                     obs::StatKind::Counter, true);
-        rec.addValue("recoveryTrafficBytes",
-                     [this]() {
-                         return static_cast<double>(recoveryTrafficBytes);
-                     },
-                     obs::StatKind::Counter, true);
+        rec.addCounter("tasksRecovered", &tasksRecovered);
+        rec.addCounter("tasksRedispatched", &tasksRedispatched);
+        rec.addCounter("recoveryTrafficBytes", &recoveryTrafficBytes);
     }
 
     // Serving stats exist only when a request stream is configured, so
@@ -213,57 +193,27 @@ NdpSystem::buildStats()
     // O(n), observational only.
     if (cfg.serving.enabled()) {
         obs::StatNode &sv = root.child("serving");
-        sv.addValue("injected",
-                    [this]() {
-                        return static_cast<double>(servingInjected);
-                    },
-                    obs::StatKind::Counter, true);
-        sv.addValue("rejected",
-                    [this]() {
-                        return static_cast<double>(servingRejected);
-                    },
-                    obs::StatKind::Counter, true);
-        sv.addValue("completedDirect",
-                    [this]() {
-                        return static_cast<double>(servingCompletedDirect);
-                    },
-                    obs::StatKind::Counter, true);
-        sv.addValue("completedRecovered",
-                    [this]() {
-                        return static_cast<double>(
-                            servingCompletedRecovered);
-                    },
-                    obs::StatKind::Counter, true);
+        sv.addCounter("injected", &servingInjected);
+        sv.addCounter("rejected", &servingRejected);
+        sv.addCounter("completedDirect", &servingCompletedDirect);
+        sv.addCounter("completedRecovered", &servingCompletedRecovered);
         sv.addValue("sloMisses",
                     [this]() {
-                        return static_cast<double>(
-                            servingLat.sloMisses());
+                        return static_cast<double>(servingLat.sloMisses());
                     },
                     obs::StatKind::Counter, true);
-        sv.addValue("windows",
-                    [this]() {
-                        return static_cast<double>(servingWindows);
-                    },
-                    obs::StatKind::Counter, true);
+        sv.addCounter("windows", &servingWindows);
         sv.addFormula("meanNs", [this]() {
             return servingLat.meanTicks() / ticksPerNs;
         });
-        sv.addFormula("p50Ns", [this]() {
-            return static_cast<double>(servingLat.percentile(0.50))
-                / ticksPerNs;
-        });
-        sv.addFormula("p95Ns", [this]() {
-            return static_cast<double>(servingLat.percentile(0.95))
-                / ticksPerNs;
-        });
-        sv.addFormula("p99Ns", [this]() {
-            return static_cast<double>(servingLat.percentile(0.99))
-                / ticksPerNs;
-        });
-        sv.addFormula("p999Ns", [this]() {
-            return static_cast<double>(servingLat.percentile(0.999))
-                / ticksPerNs;
-        });
+        const std::pair<const char *, double> tails[] = {
+            {"p50Ns", 0.50}, {"p95Ns", 0.95}, {"p99Ns", 0.99},
+            {"p999Ns", 0.999}};
+        for (const auto &[name, q] : tails)
+            sv.addFormula(name, [this, q = q]() {
+                return static_cast<double>(servingLat.percentile(q))
+                    / ticksPerNs;
+            });
         sv.addFormula("goodputQps", [this]() {
             // Completed-within-SLO requests per simulated second.
             if (lastCompletionTick == 0)
@@ -305,16 +255,8 @@ NdpSystem::buildStats()
     // golden family) are unchanged.
     if (cfg.lb.enabled) {
         obs::StatNode &lb = root.child("lb");
-        lb.addValue("tasksShedIntra",
-                    [this]() {
-                        return static_cast<double>(tasksShedIntra);
-                    },
-                    obs::StatKind::Counter, true);
-        lb.addValue("tasksShedInter",
-                    [this]() {
-                        return static_cast<double>(tasksShedInter);
-                    },
-                    obs::StatKind::Counter, true);
+        lb.addCounter("tasksShedIntra", &tasksShedIntra);
+        lb.addCounter("tasksShedInter", &tasksShedInter);
         mem.regLbStats(lb);
     }
 
@@ -324,28 +266,16 @@ NdpSystem::buildStats()
 
     obs::StatNode &en = root.child("energy");
     const EnergyAccount &ea = energy;
-    en.addValue("coreSramPj",
-                [&ea]() { return ea.breakdown().coreSramPj; },
-                obs::StatKind::Gauge, false);
-    en.addValue("dramMemPj",
-                [&ea]() { return ea.breakdown().dramMemPj; },
-                obs::StatKind::Gauge, false);
-    en.addValue("dramCachePj",
-                [&ea]() { return ea.breakdown().dramCachePj; },
-                obs::StatKind::Gauge, false);
-    en.addValue("netPj",
-                [&ea]() { return ea.breakdown().netPj; },
-                obs::StatKind::Gauge, false);
-    en.addValue("staticPj",
-                [&ea]() { return ea.breakdown().staticPj; },
-                obs::StatKind::Gauge, false);
-    en.addValue("totalPj",
-                [&ea]() { return ea.breakdown().total(); },
-                obs::StatKind::Gauge, false);
+    en.addFormula("coreSramPj", [&ea] { return ea.breakdown().coreSramPj; });
+    en.addFormula("dramMemPj", [&ea] { return ea.breakdown().dramMemPj; });
+    en.addFormula("dramCachePj",
+                  [&ea] { return ea.breakdown().dramCachePj; });
+    en.addFormula("netPj", [&ea] { return ea.breakdown().netPj; });
+    en.addFormula("staticPj", [&ea] { return ea.breakdown().staticPj; });
+    en.addFormula("totalPj", [&ea] { return ea.breakdown().total(); });
 
     for (UnitId u = 0; u < units.size(); ++u) {
-        obs::StatNode &un =
-            root.child("unit" + std::to_string(u));
+        obs::StatNode &un = root.child("unit" + std::to_string(u));
         units[u].regStats(un);
         mem.dram(u).regStats(un.child("dram"));
         if (mem.cachingEnabled())
@@ -558,7 +488,6 @@ NdpSystem::tryDispatch(UnitId u)
             end = now + 1; // every task takes at least one tick
         core.busy = true;
         core.activeTicks += end - now;
-        epochBusy += end - now;
         ++epochTaskCount;
         if (task.recovered)
             ++epochRecoveredCount;
@@ -1174,13 +1103,15 @@ NdpSystem::run(Workload &wl)
     const auto hostStart = std::chrono::steady_clock::now();
 
     RunMetrics m;
+    intervalStats(0);
     if (cfg.serving.enabled())
         serveRun(wl);
     else
         batchRun(wl, m);
+    intervalStats(servingMode ? servingWindows : epochsDone, true);
 
     energy.finalizeStatic(lastCompletionTick);
-    harvestMetrics(m);
+    m.harvest(statsReg);
 
     if (checker)
         checker->onRunEnd(m);
@@ -1198,82 +1129,30 @@ NdpSystem::run(Workload &wl)
 }
 
 void
-NdpSystem::harvestMetrics(RunMetrics &m)
+NdpSystem::intervalStats(std::uint64_t done, bool final)
 {
-    m.ticks = lastCompletionTick;
-    m.epochs = servingMode ? servingWindows : epochsDone;
-    m.tasks = totalTasks;
-    m.interHops = mem.network().totalInterHops();
-    m.intraTraversals = mem.network().totalIntraTraversals();
-    m.energy = energy.breakdown();
-    m.campHits = mem.campHits();
-    m.campMisses = mem.campMisses();
-    m.cacheInserts = mem.cacheInsertions();
-    m.readLatMeanNs = mem.readLatencyNs().mean();
-    m.readLatMaxNs = mem.readLatencyNs().max();
-    m.stealAttempts = stealAttempts;
-    m.stolenTasks = stolenTasks;
-    m.forwardedTasks = forwardedTasks;
-    m.schedDecisions = sched.decisions();
-    for (UnitId u = 0; u < units.size(); ++u) {
-        const auto &unit = units[u];
-        m.pbHits += unit.pb->hits();
-        m.pbLateHits += unit.pb->lateHits();
-        m.pbMisses += unit.pb->misses();
-        for (const auto &core : unit.cores) {
-            m.coreActiveTicks.push_back(core.activeTicks);
-            m.l1Hits += core.l1d->hits();
-            m.l1Misses += core.l1d->misses();
-        }
-        m.dramReads += mem.dram(u).reads();
-        m.dramWrites += mem.dram(u).writes();
-        m.dramRowMisses += mem.dram(u).rowMisses();
-        m.dramRowHits += mem.dram(u).rowHits();
-        m.dramActStalls += mem.dram(u).actStalls();
-        m.dramEccRetries += mem.dram(u).eccRetries();
-    }
-    m.netDropped = mem.network().totalDropped();
-    m.netRetries = mem.network().totalRetries();
-    m.unitsFailed = everFailed
-        ? static_cast<std::uint64_t>(faults.failedUnits().size())
-        : 0;
-    m.tasksRecovered = tasksRecovered;
-    m.tasksRedispatched = tasksRedispatched;
-    m.recoveryTrafficBytes = recoveryTrafficBytes;
-    m.tasksShedIntra = tasksShedIntra;
-    m.tasksShedInter = tasksShedInter;
-    m.blocksMigrated = mem.blocksMigrated();
-    m.migrationInvalidations = mem.migrationInvalidations();
-    m.migrationTrafficBytes = mem.migrationTrafficBytes();
-    m.simEvents = eq.executed();
-
-    if (!servingMode)
+    if (cfg.statsInterval == 0)
         return;
-    m.servingInjected = servingInjected;
-    m.servingRejected = servingRejected;
-    m.servingCompletedDirect = servingCompletedDirect;
-    m.servingCompletedRecovered = servingCompletedRecovered;
-    m.servingSloMisses = servingLat.sloMisses();
-    m.servingWindows = servingWindows;
-    m.servingP50Ns =
-        static_cast<double>(servingLat.percentile(0.50)) / ticksPerNs;
-    m.servingP95Ns =
-        static_cast<double>(servingLat.percentile(0.95)) / ticksPerNs;
-    m.servingP99Ns =
-        static_cast<double>(servingLat.percentile(0.99)) / ticksPerNs;
-    m.servingP999Ns =
-        static_cast<double>(servingLat.percentile(0.999)) / ticksPerNs;
-    m.servingMeanNs = servingLat.meanTicks() / ticksPerNs;
-    if (lastCompletionTick > 0) {
-        double ok = static_cast<double>(servingLat.samples()
-                                        - servingLat.sloMisses());
-        m.servingGoodputQps =
-            ok / (static_cast<double>(lastCompletionTick) * 1e-12);
+    if (intervalOs == nullptr) {
+        intervalOs = &std::cout;
+        if (!cfg.statsOut.empty()) {
+            intervalFile = std::make_unique<std::ofstream>(cfg.statsOut);
+            if (!*intervalFile)
+                fatal("cannot open stats output file: ", cfg.statsOut);
+            intervalOs = intervalFile.get();
+        }
+        statsReg.beginInterval();
+        return;
     }
-    if (servingInjected > 0)
-        m.servingSloMissRate =
-            static_cast<double>(servingRejected + servingLat.sloMisses())
-            / static_cast<double>(servingInjected);
+    // Every epoch and window takes time, so an unchanged tick means
+    // nothing happened since the last dump.
+    if (final ? eq.now() == intervalTick : done % cfg.statsInterval != 0)
+        return;
+    statsReg.dumpInterval(*intervalOs, logging_detail::concat(
+        "interval ", servingMode ? "windows" : "epochs", " [", intervalFrom,
+        ", ", done, ") tick ", eq.now()));
+    intervalFrom = done;
+    intervalTick = eq.now();
 }
 
 void
@@ -1286,43 +1165,6 @@ NdpSystem::batchRun(Workload &wl, RunMetrics &m)
     wl.emitInitialTasks(*this);
 
     std::uint64_t ts = 0;
-
-    // Optional per-epoch trace for offline plotting/debugging.
-    std::ofstream trace;
-    if (!cfg.traceFile.empty()) {
-        trace.open(cfg.traceFile);
-        if (!trace)
-            fatal("cannot open trace file: ", cfg.traceFile);
-        trace << "epoch,start_ns,duration_ns,tasks,busy_ns,interHops,"
-                 "campHits,campMisses,forwards,steals\n";
-    }
-    std::uint64_t prevHops = 0, prevCampHits = 0, prevCampMisses = 0;
-    std::uint64_t prevForwards = 0, prevSteals = 0;
-
-    // Per-interval stats dumping (--stats-interval): every N epochs the
-    // registry prints the counter deltas since the previous dump.
-    std::ofstream statsFile;
-    std::ostream *statsOs = nullptr;
-    if (cfg.statsInterval > 0) {
-        if (!cfg.statsOut.empty()) {
-            statsFile.open(cfg.statsOut);
-            if (!statsFile)
-                fatal("cannot open stats output file: ", cfg.statsOut);
-            statsOs = &statsFile;
-        } else {
-            statsOs = &std::cout;
-        }
-        statsReg.beginInterval();
-    }
-    std::uint64_t lastDumpEpoch = 0;
-    auto dumpIntervalNow = [&](std::uint64_t upto) {
-        statsReg.dumpInterval(
-            *statsOs,
-            logging_detail::concat("interval epochs [", lastDumpEpoch,
-                                   ", ", upto, ") tick ", eq.now()));
-        lastDumpEpoch = upto;
-    };
-
     while (stagedCount > 0 && (cfg.maxEpochs == 0 || ts < cfg.maxEpochs)) {
         // Epoch boundary: this epoch's staged hints live in the arena
         // generation children must not share; the generation freed here
@@ -1362,26 +1204,7 @@ NdpSystem::batchRun(Workload &wl, RunMetrics &m)
         for (auto &unit : units)
             unit.resetTransient();
         m.epochTicks.push_back(lastCompletionTick - epoch_begin);
-        m.epochBusyTicks.push_back(epochBusy);
         m.epochTasks.push_back(epochTaskCount);
-        if (trace.is_open()) {
-            std::uint64_t hops = mem.network().totalInterHops();
-            std::uint64_t chits = mem.campHits();
-            std::uint64_t cmiss = mem.campMisses();
-            trace << ts << "," << epoch_begin / 1000.0 << ","
-                  << (lastCompletionTick - epoch_begin) / 1000.0 << ","
-                  << epochTaskCount << "," << epochBusy / 1000.0 << ","
-                  << hops - prevHops << "," << chits - prevCampHits
-                  << "," << cmiss - prevCampMisses << ","
-                  << forwardedTasks - prevForwards << ","
-                  << stolenTasks - prevSteals << "\n";
-            prevHops = hops;
-            prevCampHits = chits;
-            prevCampMisses = cmiss;
-            prevForwards = forwardedTasks;
-            prevSteals = stolenTasks;
-        }
-        epochBusy = 0;
         epochTaskCount = 0;
         epochRecoveredCount = 0;
 
@@ -1398,13 +1221,8 @@ NdpSystem::batchRun(Workload &wl, RunMetrics &m)
         wl.endEpoch(ts);
         ++ts;
         epochsDone = ts;
-        if (cfg.statsInterval > 0 && ts % cfg.statsInterval == 0)
-            dumpIntervalNow(ts);
+        intervalStats(ts);
     }
-
-    // Final partial interval, so every epoch is covered by some dump.
-    if (cfg.statsInterval > 0 && ts > lastDumpEpoch)
-        dumpIntervalNow(ts);
 
     if (ts == 0)
         warn("workload ", wl.name(), " emitted no initial tasks; zero "
@@ -1490,6 +1308,7 @@ NdpSystem::armServingWindow(Tick interval)
         if (lbOn)
             runLbExchange();
         mem.discardBefore(eq.now());
+        intervalStats(servingWindows);
         armServingWindow(interval);
     });
 }

@@ -114,16 +114,18 @@ class NdpSystem : public TaskSink
   private:
     /**
      * The batch epoch engine (run() body when serving is off). Fills
-     * only the batch-only per-epoch vectors of @p m; run() harvests
-     * every other field.
+     * only the batch-only per-epoch vectors of @p m; run() reads every
+     * other field from the stats registry.
      */
     void batchRun(Workload &wl, RunMetrics &m);
 
     /**
-     * The end-of-run harvest shared by both drivers: copies every
-     * counter into @p m (the serving fields only when servingMode).
+     * --stats-interval dumps for the batch and serving loops, after
+     * @p done epochs or serving windows. The first call, before the
+     * run, opens the output; later calls dump every statsInterval-th,
+     * and the @p final call whatever the last dump did not cover.
      */
-    void harvestMetrics(RunMetrics &m);
+    void intervalStats(std::uint64_t done, bool final = false);
 
     // ---- Online serving driver (docs/ARCHITECTURE.md) ----
 
@@ -312,11 +314,16 @@ class NdpSystem : public TaskSink
     std::uint64_t initialSpread = 0;
     std::uint64_t totalTasks = 0;
     std::uint64_t epochsDone = 0;
-    Tick epochBusy = 0;
     std::uint64_t epochTaskCount = 0;
     std::uint64_t stealAttempts = 0;
     std::uint64_t stolenTasks = 0;
     std::uint64_t forwardedTasks = 0;
+
+    // intervalStats() output, and done and tick at its last dump.
+    std::unique_ptr<std::ostream> intervalFile;
+    std::ostream *intervalOs = nullptr;
+    std::uint64_t intervalFrom = 0;
+    Tick intervalTick = 0;
 
     // Unit-failure recovery state. All of it stays untouched (and all
     // recovery code paths unreachable) unless failuresOn, so runs

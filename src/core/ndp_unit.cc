@@ -93,16 +93,8 @@ NdpUnit::regStats(obs::StatNode &node) const
     for (std::uint32_t c = 0; c < cores.size(); ++c) {
         obs::StatNode &cn = node.child("core" + std::to_string(c));
         const CoreState &core = cores[c];
-        cn.addValue("tasksRun",
-                    [&core]() {
-                        return static_cast<double>(core.tasksRun);
-                    },
-                    obs::StatKind::Counter, true);
-        cn.addValue("activeTicks",
-                    [&core]() {
-                        return static_cast<double>(core.activeTicks);
-                    },
-                    obs::StatKind::Counter, true);
+        cn.addCounter("tasksRun", &core.tasksRun);
+        cn.addCounter("activeTicks", &core.activeTicks);
         core.l1d->regStats(cn.child("l1d"));
         core.l1i->regStats(cn.child("l1i"));
         core.tlb->regStats(cn.child("tlb"));

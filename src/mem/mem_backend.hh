@@ -109,9 +109,6 @@ class MemBackend
     /** Ticks of ACT delay forced by the tFAW window (DdrBackend). */
     virtual std::uint64_t actStalls() const { return 0; }
 
-    /** Accesses that paid an injected ECC-retry cycle. */
-    std::uint64_t eccRetries() const { return nEccRetries.value(); }
-
     /** Queueing delay behind earlier same-bank accesses (ns). */
     const stats::Distribution &queueWaitNs() const { return waitNs; }
 

@@ -76,12 +76,6 @@ class Network
 
     std::uint64_t totalPackets() const { return packets.value(); }
 
-    /** Transmission attempts lost on faulty links (fault injection). */
-    std::uint64_t totalDropped() const { return dropped.value(); }
-
-    /** Retransmissions issued to repair faulty-link drops. */
-    std::uint64_t totalRetries() const { return retries.value(); }
-
     /** Queueing delay at crossbar ports (ns). */
     const stats::Distribution &portWaitNs() const { return portWait; }
 

@@ -11,6 +11,24 @@ namespace abndp
 namespace obs
 {
 
+namespace
+{
+
+/** Does @p s match @p pat, in which `*` matches any run without a dot? */
+bool
+globMatch(std::string_view pat, std::string_view s)
+{
+    if (pat.empty())
+        return s.empty();
+    if (pat[0] == '*')
+        return globMatch(pat.substr(1), s)
+            || (!s.empty() && s[0] != '.' && globMatch(pat, s.substr(1)));
+    return !s.empty() && pat[0] == s[0]
+        && globMatch(pat.substr(1), s.substr(1));
+}
+
+} // namespace
+
 std::string
 formatStatValue(double v, bool integer)
 {
@@ -51,6 +69,13 @@ void
 StatNode::addCounter(const std::string &name, const stats::Counter *c)
 {
     addValue(name, [c] { return static_cast<double>(c->value()); },
+             StatKind::Counter, /*integer=*/true);
+}
+
+void
+StatNode::addCounter(const std::string &name, const std::uint64_t *v)
+{
+    addValue(name, [v] { return static_cast<double>(*v); },
              StatKind::Counter, /*integer=*/true);
 }
 
@@ -138,6 +163,21 @@ StatNode::flatten(const std::string &prefix,
         k->flatten(base, out, names);
 }
 
+void
+StatNode::read(std::string_view pat, std::vector<double> &out) const
+{
+    for (const auto &e : entries)
+        if (globMatch(pat, e.name))
+            out.push_back(e.get());
+    // Child names are single components: match the pattern's first.
+    std::size_t dot = pat.find('.');
+    if (dot == std::string_view::npos)
+        return;
+    for (const auto &k : kids)
+        if (globMatch(pat.substr(0, dot), k->name_))
+            k->read(pat.substr(dot + 1), out);
+}
+
 std::size_t
 StatsRegistry::size() const
 {
@@ -162,6 +202,14 @@ StatsRegistry::dump(std::ostream &os) const
     collect(flat, names);
     for (std::size_t i = 0; i < flat.size(); ++i)
         writeStatLine(os, names[i], flat[i]->get(), flat[i]->integer);
+}
+
+std::vector<double>
+StatsRegistry::read(std::string_view path) const
+{
+    std::vector<double> out;
+    rootNode.read(path, out);
+    return out;
 }
 
 void

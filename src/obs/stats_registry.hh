@@ -24,6 +24,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/stats.hh"
@@ -76,6 +77,9 @@ class StatNode
     /** Register a monotone event counter. */
     void addCounter(const std::string &name, const stats::Counter *c);
 
+    /** Register a plain count owned by the caller as a counter. */
+    void addCounter(const std::string &name, const std::uint64_t *v);
+
     /** Register a floating-point accumulator as a gauge. */
     void addScalar(const std::string &name, const stats::Scalar *s);
 
@@ -125,6 +129,9 @@ class StatNode
                  std::vector<const Entry *> &out,
                  std::vector<std::string> &names) const;
 
+    /** Append the values of the stats below matching @p pat. */
+    void read(std::string_view pat, std::vector<double> &out) const;
+
     std::string name_;
     std::vector<Entry> entries;
     std::vector<std::unique_ptr<StatNode>> kids;
@@ -151,6 +158,15 @@ class StatsRegistry
      * construction — nothing nondeterministic may be registered).
      */
     void dump(std::ostream &os) const;
+
+    /**
+     * Values of every stat whose dotted name matches @p path, in
+     * registration (dump) order; empty when none does. A `*` matches
+     * any run of characters inside one component, so
+     * `unit*.core*.activeTicks` lists every core's busy ticks. Only
+     * the matching getters run.
+     */
+    std::vector<double> read(std::string_view path) const;
 
     /** Snapshot current values as the base of the next interval. */
     void beginInterval();

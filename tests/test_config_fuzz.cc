@@ -137,8 +137,20 @@ TEST(ConfigFuzz, MetricsFingerprintSeparatesFields)
     EXPECT_EQ(check::metricsFingerprint(a), check::metricsFingerprint(b));
     b.hostSeconds = 123.0; // excluded: wall clock is never deterministic
     EXPECT_EQ(check::metricsFingerprint(a), check::metricsFingerprint(b));
-    b.interHops = 1;
-    EXPECT_NE(check::metricsFingerprint(a), check::metricsFingerprint(b));
+    const auto &rows = metricRows();
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        RunMetrics c = a;
+        rows[i].visit(c, [](auto &v) {
+            if constexpr (std::is_arithmetic_v<
+                              std::remove_reference_t<decltype(v)>>)
+                v += 1;
+            else
+                v.push_back(1);
+        });
+        EXPECT_NE(check::metricsFingerprint(a),
+                  check::metricsFingerprint(c))
+            << "row " << i << ": " << (rows[i].path ? rows[i].path : "-");
+    }
 }
 
 TEST(ConfigFuzz, MinimizerReachesBaselineWhenEverythingFails)

@@ -197,6 +197,13 @@ TEST(ConfigValidateDeath, RejectsTracingWithoutBuffer)
     EXPECT_DEATH(cfg.validate(), "traceBufferEvents must be nonzero");
 }
 
+TEST(ConfigValidateDeath, RejectsStatsOutWithoutInterval)
+{
+    auto cfg = plainConfig();
+    cfg.statsOut = "intervals.stats";
+    EXPECT_DEATH(cfg.validate(), "needs a nonzero statsInterval");
+}
+
 TEST(ConfigValidateDeath, RejectsRemainingFaultGaps)
 {
     auto cfg = plainConfig();

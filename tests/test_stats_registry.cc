@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/stats.hh"
 #include "obs/stats_registry.hh"
@@ -151,6 +153,51 @@ TEST(StatsRegistry, IntervalCountersPrintDeltas)
     reg.dumpInterval(second, "interval 2");
     EXPECT_NE(second.str().find(" 0\n"), std::string::npos);
     EXPECT_NE(second.str().find("9.000000"), std::string::npos);
+}
+
+TEST(StatsRegistry, ReadMatchesWildcardComponentsInDumpOrder)
+{
+    obs::StatsRegistry reg;
+    int calls = 0;
+    auto value = [&calls](double v) {
+        return [&calls, v] {
+            ++calls;
+            return v;
+        };
+    };
+    for (int u : {0, 1, 10}) {
+        obs::StatNode &un = reg.root().child("unit" + std::to_string(u));
+        for (int c = 0; c < 2; ++c)
+            un.child("core" + std::to_string(c))
+                .addValue("busy", value(10.0 * u + c),
+                          obs::StatKind::Counter, true);
+        un.child("pb").addValue("hits", value(u), obs::StatKind::Counter,
+                                true);
+    }
+    stats::Distribution d;
+    d.sample(4.0);
+    reg.root().child("mem").addDistribution("lat", &d);
+    int untouched = 0;
+    reg.root().addFormula("expensive", [&untouched] {
+        ++untouched;
+        return 0.0;
+    });
+
+    EXPECT_EQ(reg.read("unit*.pb.hits"), (std::vector<double>{0, 1, 10}));
+    EXPECT_EQ(reg.read("unit*.core*.busy"),
+              (std::vector<double>{0, 1, 10, 11, 100, 101}));
+    EXPECT_EQ(reg.read("unit1*.core1.busy"),
+              (std::vector<double>{11, 101}));
+    EXPECT_EQ(reg.read("unit10.pb.hits"), (std::vector<double>{10}));
+    // Entry names with dots (distribution parts) match component-wise.
+    EXPECT_EQ(reg.read("mem.lat.mean"), (std::vector<double>{4.0}));
+    EXPECT_EQ(reg.read("mem.*.max"), (std::vector<double>{4.0}));
+    // A node is not a stat, and `*` never spans a dot.
+    EXPECT_TRUE(reg.read("unit*.pb").empty());
+    EXPECT_TRUE(reg.read("unit*.hits").empty());
+    EXPECT_TRUE(reg.read("nope").empty());
+    EXPECT_EQ(calls, 3 + 6 + 2 + 1);
+    EXPECT_EQ(untouched, 0);
 }
 
 TEST(StatsRegistry, DumpIsStableAcrossCalls)
