@@ -10,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -183,6 +184,57 @@ BM_BandwidthMeterReserve(benchmark::State &state)
     }
 }
 BENCHMARK(BM_BandwidthMeterReserve);
+
+/**
+ * reserve() on a saturated meter. BM_BandwidthMeterReserve asks for
+ * less than the capacity, so nearly every call takes the fast path.
+ * Here a hub stream asks for ~3x the capacity with starts jittered back
+ * into its own backlog, an island stream builds a second full run a
+ * few pages ahead that the hub's frontier later crosses, and sparse
+ * small reservations leave partly filled buckets further out, so
+ * reserveSlow walks skip chains and fullUpTo jumps across a backlog
+ * of tens of pages. One pattern of 64k reservations replays from a
+ * reset meter, so every round does the same work in bounded memory.
+ */
+void
+BM_BandwidthMeterSaturated(benchmark::State &state)
+{
+    constexpr Tick width = 256 * ticksPerNs;
+    constexpr Tick pageTicks = 1024 * width;
+    struct Op
+    {
+        Tick t, service;
+    };
+    std::vector<Op> ops(1 << 16);
+    Rng gen(0x5a7u);
+    Tick base = 0, island = 3 * pageTicks;
+    for (Op &op : ops) {
+        base += gen.below(width);
+        const std::uint64_t kind = gen.below(16);
+        if (kind < 11) {
+            op.t = base - std::min(base, gen.below(4 * width));
+            op.service = gen.below(4 * width) + 1;
+        } else if (kind < 15) {
+            island += gen.below(width / 2);
+            op.t = island + gen.below(4 * width);
+            op.service = gen.below(3 * width) + 1;
+        } else {
+            op.t = base + gen.below(8 * pageTicks);
+            op.service = gen.below(width / 4) + 1;
+        }
+    }
+
+    BandwidthMeter m(width);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(m.reserve(ops[i].t, ops[i].service));
+        if (++i == ops.size()) {
+            i = 0;
+            m.reset();
+        }
+    }
+}
+BENCHMARK(BM_BandwidthMeterSaturated);
 
 /**
  * One HLB-mig re-homing on the Table-1 machine: DRAM read and write,

@@ -135,7 +135,14 @@ main(int argc, char **argv)
     Design design = designFromName(flags.getString("design", "O"));
     cfg = applyDesign(cfg, design);
 
-    if (flags.getBool("print-config", false)) {
+    const bool printConfig = flags.getBool("print-config", false);
+    const bool verify = flags.getBool("verify", false);
+    const bool json = flags.getBool("json", false);
+    const bool stats = flags.getBool("stats", false);
+    const bool heatmap = flags.getBool("heatmap", false);
+    flags.rejectUnread();
+
+    if (printConfig) {
         cfg.print(std::cout);
         std::cout << "\n";
     }
@@ -145,9 +152,9 @@ main(int argc, char **argv)
     if (design == Design::H) {
         HostSystem host(cfg);
         m = host.run(*wl);
-        if (flags.getBool("verify", false) && !wl->verify())
+        if (verify && !wl->verify())
             fatal("verification failed");
-        if (flags.getBool("json", false)) {
+        if (json) {
             dumpJson(std::cout, cfg, m);
             std::cout << "\n";
             return 0;
@@ -155,20 +162,20 @@ main(int argc, char **argv)
     } else {
         NdpSystem sys(cfg);
         m = sys.run(*wl);
-        if (flags.getBool("verify", false) && !wl->verify())
+        if (verify && !wl->verify())
             fatal("verification failed");
-        if (flags.getBool("json", false)) {
+        if (json) {
             dumpJson(std::cout, cfg, m);
             std::cout << "\n";
             return 0;
         }
-        if (flags.getBool("stats", false)) {
+        if (stats) {
             printStats(std::cout, sys, m);
-            if (flags.getBool("heatmap", false))
+            if (heatmap)
                 dumpHeatmap(std::cout, cfg, m);
             return 0;
         }
-        if (flags.getBool("heatmap", false))
+        if (heatmap)
             dumpHeatmap(std::cout, cfg, m);
     }
 

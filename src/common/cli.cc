@@ -29,58 +29,71 @@ CliFlags::parse(int argc, char **argv)
     }
 }
 
+const std::string *
+CliFlags::find(const std::string &name) const
+{
+    readNames.insert(name);
+    auto it = flags.find(name);
+    return it == flags.end() ? nullptr : &it->second;
+}
+
 bool
 CliFlags::has(const std::string &name) const
 {
-    return flags.count(name) > 0;
+    return find(name) != nullptr;
 }
 
 std::string
 CliFlags::getString(const std::string &name, const std::string &defval) const
 {
-    auto it = flags.find(name);
-    return it == flags.end() ? defval : it->second;
+    const std::string *v = find(name);
+    return v ? *v : defval;
 }
 
 std::int64_t
 CliFlags::getInt(const std::string &name, std::int64_t defval) const
 {
-    auto it = flags.find(name);
-    if (it == flags.end())
-        return defval;
-    return std::strtoll(it->second.c_str(), nullptr, 0);
+    const std::string *v = find(name);
+    return v ? std::strtoll(v->c_str(), nullptr, 0) : defval;
 }
 
 std::uint64_t
 CliFlags::getUint(const std::string &name, std::uint64_t defval) const
 {
-    auto it = flags.find(name);
-    if (it == flags.end())
-        return defval;
-    return std::strtoull(it->second.c_str(), nullptr, 0);
+    const std::string *v = find(name);
+    return v ? std::strtoull(v->c_str(), nullptr, 0) : defval;
 }
 
 double
 CliFlags::getDouble(const std::string &name, double defval) const
 {
-    auto it = flags.find(name);
-    if (it == flags.end())
-        return defval;
-    return std::strtod(it->second.c_str(), nullptr);
+    const std::string *v = find(name);
+    return v ? std::strtod(v->c_str(), nullptr) : defval;
 }
 
 bool
 CliFlags::getBool(const std::string &name, bool defval) const
 {
-    auto it = flags.find(name);
-    if (it == flags.end())
+    const std::string *found = find(name);
+    if (!found)
         return defval;
-    const std::string &v = it->second;
+    const std::string &v = *found;
     if (v == "true" || v == "1" || v == "yes" || v == "on")
         return true;
     if (v == "false" || v == "0" || v == "no" || v == "off")
         return false;
     fatal("bad boolean flag --", name, "=", v);
+}
+
+void
+CliFlags::rejectUnread() const
+{
+    std::string unread;
+    for (const auto &[name, value] : flags)
+        if (!readNames.count(name))
+            unread += (unread.empty() ? "--" : ", --") + name;
+    if (!unread.empty())
+        fatal("unknown flag(s) ", unread, " (see --help)");
 }
 
 std::string

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -37,9 +38,23 @@ class CliFlags
 
     const std::vector<std::string> &positional() const { return args; }
 
+    /**
+     * fatal() naming every flag given on the command line that no
+     * has()/get*() call has looked up. Opt-in: a front end calls it
+     * after reading all its flags and before doing any work, so a
+     * misspelled or removed flag stops the run instead of being
+     * ignored.
+     */
+    void rejectUnread() const;
+
   private:
     std::map<std::string, std::string> flags;
     std::vector<std::string> args;
+    /** Names looked up so far, given or not. */
+    mutable std::set<std::string> readNames;
+
+    /** The value of flag @p name, or nullptr; records the lookup. */
+    const std::string *find(const std::string &name) const;
 };
 
 /**

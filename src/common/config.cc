@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "sim/bandwidth_meter.hh"
 
 namespace abndp
 {
@@ -266,6 +267,15 @@ SystemConfig::violation() const
                           "stay open through its own column access");
         if (dram.tWrNs < 0.0 || dram.tFawNs < 0.0)
             return concat("dram tWR and tFAW must be non-negative");
+        // The ACT meter's bucket is one tFAW window: four quarter
+        // windows, each rounded up (src/mem/ddr_backend.cc).
+        const double fawTicks = dram.tFawNs * ticksPerNs;
+        if (!(fawTicks < static_cast<double>(BandwidthMeter::widthLimit))
+            || 4 * ((static_cast<Tick>(fawTicks) + 3) / 4)
+                   >= BandwidthMeter::widthLimit)
+            return concat("dram tFAW (", dram.tFawNs, "ns) must give an "
+                          "ACT-meter bucket below 2^31 ticks (~2.1 ms), "
+                          "the widest a meter bucket word holds");
         if (dram.addrMap == DramAddrMapKind::BankRowColumn
             && memBytesPerUnit % dram.banks != 0)
             return concat("the brc address map slices each unit's region "

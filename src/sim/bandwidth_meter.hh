@@ -15,7 +15,9 @@
  * access and every mesh hop reserves a bucket), so buckets live in flat
  * fixed-size pages found through a last-page cache — no hashing and no
  * per-reservation allocation — while time-sparse use (a bank idle for a
- * simulated hour) still costs one page, not a dense array.
+ * simulated hour) still costs one page, not a dense array. A page is
+ * one 4 KB row of 32-bit bucket words: a word is either a fill level or,
+ * on a full bucket, a skip pointer over the full run that follows it.
  */
 
 #ifndef ABNDP_SIM_BANDWIDTH_METER_HH
@@ -37,13 +39,20 @@ class BandwidthMeter
   public:
     /**
      * @param bucketTicks bucket width; must be >= the largest single
-     *        service time reserved on this resource
+     *        service time reserved on this resource, and below
+     *        widthLimit
      */
     explicit BandwidthMeter(Tick bucketTicks = 256 * ticksPerNs)
         : width(bucketTicks)
     {
         abndp_assert(width > 0);
+        abndp_assert(width < widthLimit, "bucket width ", width,
+                     " ticks does not fit a 31-bit bucket word");
     }
+
+    /** Bucket widths must stay below this: a fill level shares its
+     *  32-bit bucket word with the full flag. */
+    static constexpr Tick widthLimit = Tick{1} << 31;
 
     /**
      * Reserve @p service ticks of the resource at or after @p t; large
@@ -79,15 +88,16 @@ class BandwidthMeter
         // Fast path covering almost every reservation: the bucket lives
         // in the most recently touched page and has room for the whole
         // service, so the skip loop would stop right here and the pour
-        // loop would drain in one take.
+        // loop would drain in one take. A flagged (full) word is at
+        // least 2^31 > width, so it fails the room test on its own.
         const std::uint64_t first = b & ~(pageBuckets - 1);
         if (lastIdx < pages.size() && pages[lastIdx].first == first) {
-            Tick &used = pages[lastIdx].fill[b - first];
+            Word &used = pages[lastIdx].words[b - first];
             if (used + service <= width) {
                 if (used == 0)
                     ++nTouched;
                 Tick begin = b * width + used;
-                used += service;
+                used += static_cast<Word>(service);
                 return begin < t ? t : begin;
             }
         }
@@ -101,20 +111,21 @@ class BandwidthMeter
     {
         const std::uint64_t scanStart = b;
 
-        // Skip full buckets, scanning each page's flat fill row in
+        // Skip full buckets, scanning each page's flat word row in
         // place — the page is resolved once per page, not once per
         // bucket. An absent page is all-empty, so the scan stops at
         // its first bucket.
         //
-        // Full buckets additionally carry a skip pointer (skip[i] > i
-        // means buckets [i, skip[i]) are all full). A bucket's fill
-        // only grows between resets, so a recorded fact never expires
-        // and jumping the run lands exactly where the linear scan
-        // would. Entry-point compression plus path halving keep the
-        // chains short, so a reservation behind a deep backlog (a hub
-        // bank under design B) costs amortized O(1) instead of
-        // O(backlog) — without this the scan is quadratic in the
-        // backlog length over a congested run.
+        // Full buckets additionally carry a skip pointer in their word
+        // (a flagged word with target j at bucket i means buckets
+        // [i, j) are all full). A bucket's fill only grows between
+        // resets, so a recorded fact never expires and jumping the run
+        // lands exactly where the linear scan would. Entry-point
+        // compression plus path halving keep the chains short, so a
+        // reservation behind a deep backlog (a hub bank under design
+        // B) costs amortized O(1) instead of O(backlog) — without this
+        // the scan is quadratic in the backlog length over a congested
+        // run.
         // Pages carry a second, cross-page fact: fullUpTo > 0 means
         // every bucket in [page.first, fullUpTo) is full — fullUpTo
         // may point far beyond the page, so a scan entering anywhere
@@ -139,34 +150,32 @@ class BandwidthMeter
                 b = p->fullUpTo;
                 continue;
             }
-            const Tick *fill = p->fill.data();
-            std::uint16_t *skip = p->skip.data();
+            Word *word = p->words.data();
             std::uint64_t idx = b - first;
             const std::uint64_t entry = idx;
             while (idx < pageBuckets) {
-                const std::uint32_t nxt = skip[idx];
-                if (nxt > idx) {
+                const Word w = word[idx];
+                if (w & fullFlag) {
                     // Path halving: point at the jump target's own
                     // target so the next walker takes one hop fewer.
-                    const std::uint32_t nn =
-                        nxt < pageBuckets ? skip[nxt] : 0;
-                    if (nn > nxt)
-                        skip[idx] = static_cast<std::uint16_t>(nn);
+                    const std::uint64_t nxt = w & ~fullFlag;
+                    if (nxt < pageBuckets && (word[nxt] & fullFlag))
+                        word[idx] = word[nxt];
                     idx = nxt;
                     continue;
                 }
-                if (fill[idx] >= width) {
-                    skip[idx] = static_cast<std::uint16_t>(idx + 1);
+                if (w >= width) {
+                    word[idx] = skipTo(idx + 1);
                     ++idx;
                     continue;
                 }
                 break;
             }
             if (idx > entry)
-                skip[entry] = static_cast<std::uint16_t>(idx);
+                word[entry] = skipTo(idx);
             if (idx < pageBuckets) {
                 b = first + idx;
-                beginFill = fill[idx];
+                beginFill = word[idx];
                 break;
             }
             // The page is full from the entry on; it qualifies for a
@@ -212,20 +221,18 @@ class BandwidthMeter
         Tick remaining = service;
         while (true) {
             const std::uint64_t first = b & ~(pageBuckets - 1);
-            Page &pg = ensurePage(first);
-            Tick *fill = pg.fill.data();
-            std::uint16_t *skip = pg.skip.data();
+            Word *word = ensurePage(first).words.data();
             for (std::uint64_t idx = b - first; idx < pageBuckets;
                  ++idx) {
-                Tick &used = fill[idx];
-                Tick free = width - used;
-                Tick take = remaining < free ? remaining : free;
+                const Tick used = fillOf(word[idx]);
+                const Tick free = width - used;
+                const Tick take = remaining < free ? remaining : free;
                 if (take > 0 && used == 0)
                     ++nTouched;
-                used += take;
                 remaining -= take;
-                if (used >= width)
-                    skip[idx] = static_cast<std::uint16_t>(idx + 1);
+                word[idx] = used + take >= width
+                    ? skipTo(idx + 1)
+                    : static_cast<Word>(used + take);
                 if (remaining == 0)
                     return begin;
             }
@@ -242,9 +249,7 @@ class BandwidthMeter
     reset()
     {
         for (Page &p : pages) {
-            std::fill(p.fill.begin(), p.fill.end(), Tick{0});
-            std::fill(p.skip.begin(), p.skip.end(),
-                      std::uint16_t{0});
+            std::fill(p.words.begin(), p.words.end(), Word{0});
             p.fullUpTo = 0;
         }
         nTouched = 0;
@@ -294,8 +299,8 @@ class BandwidthMeter
     {
         Tick mx = retiredMaxFill;
         for (const Page &p : pages)
-            for (Tick f : p.fill)
-                mx = std::max(mx, f);
+            for (Word w : p.words)
+                mx = std::max(mx, fillOf(w));
         return mx;
     }
 
@@ -306,16 +311,33 @@ class BandwidthMeter
      *  compress over subsequent scans). */
     static constexpr std::uint32_t maxProven = 8;
 
+    /**
+     * One bucket. A word below fullFlag is the bucket's fill level
+     * (a full bucket not yet walked holds exactly width). A word with
+     * fullFlag set is a full bucket whose low bits are a skip target
+     * j (i < j <= pageBuckets): buckets [i, j) of the page are all
+     * full. Facts never expire between resets because fills only
+     * grow, and width < fullFlag keeps the encoding lossless.
+     */
+    using Word = std::uint32_t;
+    static constexpr Word fullFlag = Word{1} << 31;
+    static_assert(fullFlag == widthLimit, "fills stay below the flag");
+    static_assert(pageBuckets < fullFlag, "skip targets fit the word");
+
+    /** Fill level of a bucket word. */
+    Tick fillOf(Word w) const { return (w & fullFlag) ? width : w; }
+
+    /** A full bucket's word pointing the walk at page offset @p j. */
+    static Word
+    skipTo(std::uint64_t j)
+    {
+        return fullFlag | static_cast<Word>(j);
+    }
+
     struct Page
     {
-        std::uint64_t first;     // bucket number of fill[0]
-        std::vector<Tick> fill;  // pageBuckets entries
-        /**
-         * Next-maybe-free pointers over full buckets: skip[i] > i
-         * means buckets [i, skip[i]) are all full (0 = no knowledge).
-         * Facts never expire between resets because fills only grow.
-         */
-        std::vector<std::uint16_t> skip;
+        std::uint64_t first;     // bucket number of words[0]
+        std::vector<Word> words; // pageBuckets entries, 4 KB
         /**
          * Cross-page frontier fact: every bucket in [first, fullUpTo)
          * is full (0 = none). May point beyond the page; a scan
@@ -323,7 +345,6 @@ class BandwidthMeter
          */
         std::uint64_t fullUpTo = 0;
     };
-    static_assert(pageBuckets < 65535, "skip pointers are uint16");
 
     /** The page starting at bucket @p first, or nullptr if absent. */
     const Page *
@@ -364,8 +385,8 @@ class BandwidthMeter
         if (n == 0)
             return;
         for (std::size_t i = 0; i < n; ++i) {
-            for (Tick f : pages[i].fill)
-                retiredMaxFill = std::max(retiredMaxFill, f);
+            for (Word w : pages[i].words)
+                retiredMaxFill = std::max(retiredMaxFill, fillOf(w));
             if (spares.size() < maxSpares)
                 spares.push_back(std::move(pages[i]));
         }
@@ -386,21 +407,18 @@ class BandwidthMeter
         if (it == pages.end() || it->first != first) {
             // Prefer storage retired by discardBefore(): zeroing a
             // stashed page in place reuses warm, already-faulted
-            // memory instead of taking a fresh 10 KB allocation (and
+            // memory instead of taking a fresh 4 KB allocation (and
             // its kernel zero-page faults) per created page.
             if (!spares.empty()) {
                 Page pg = std::move(spares.back());
                 spares.pop_back();
                 pg.first = first;
-                std::fill(pg.fill.begin(), pg.fill.end(), Tick{0});
-                std::fill(pg.skip.begin(), pg.skip.end(),
-                          std::uint16_t{0});
+                std::fill(pg.words.begin(), pg.words.end(), Word{0});
                 pg.fullUpTo = 0;
                 it = pages.insert(it, std::move(pg));
             } else {
                 it = pages.insert(
-                    it, Page{first, std::vector<Tick>(pageBuckets, 0),
-                             std::vector<std::uint16_t>(pageBuckets, 0)});
+                    it, Page{first, std::vector<Word>(pageBuckets, 0)});
             }
         }
         lastIdx = static_cast<std::size_t>(it - pages.begin());

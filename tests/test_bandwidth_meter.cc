@@ -87,4 +87,23 @@ TEST(BandwidthMeter, BurstDelayGrowsWithBurstSize)
     EXPECT_LT(lightDelay / 8, heavyDelay / 40);
 }
 
+TEST(BandwidthMeter, WidestBucketHoldsAFullFill)
+{
+    // The widest bucket a 31-bit word holds: once full, its word is
+    // flagged with a skip target and must still decode to the width.
+    const Tick width = BandwidthMeter::widthLimit - 1;
+    BandwidthMeter m(width);
+    EXPECT_EQ(m.reserve(0, width), 0u);
+    EXPECT_EQ(m.reserve(0, 1), width);
+    EXPECT_EQ(m.reserve(0, 1), width + 1);
+    EXPECT_EQ(m.maxBucketFill(), width);
+    EXPECT_EQ(m.bucketsInUse(), 2u);
+}
+
+TEST(BandwidthMeterDeath, WidthOf2To31Aborts)
+{
+    EXPECT_DEATH(BandwidthMeter{BandwidthMeter::widthLimit},
+                 "does not fit a 31-bit bucket word");
+}
+
 } // namespace abndp

@@ -67,6 +67,23 @@ TEST(Cli, CollectsPositionals)
     EXPECT_EQ(f.positional()[1], "file2");
 }
 
+TEST(Cli, RejectUnreadPassesOnceEveryFlagIsRead)
+{
+    auto f = parse({"--a=1", "--b", "2", "--c"});
+    f.getInt("a", 0);
+    EXPECT_TRUE(f.has("b"));
+    f.getBool("c", false);
+    f.getString("never-given", ""); // looking up an absent flag is fine
+    f.rejectUnread();
+}
+
+TEST(CliDeath, RejectUnreadNamesEveryUnreadFlag)
+{
+    auto f = parse({"--workload=pr", "--trace=t.csv", "--scael=9"});
+    f.getString("workload", "");
+    EXPECT_DEATH(f.rejectUnread(), "unknown flag\\(s\\) --scael, --trace");
+}
+
 TEST(Table, AlignsColumns)
 {
     TextTable t({"name", "value"});

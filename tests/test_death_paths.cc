@@ -531,6 +531,25 @@ TEST(ConfigValidateDeath, RejectsNegativeWrOrFaw)
                  "dram tWR and tFAW must be non-negative");
 }
 
+TEST(ConfigValidateDeath, RejectsFawWiderThanAMeterBucket)
+{
+    // The ACT meter's bucket is one tFAW window; 2,147,484 ns is 352
+    // ticks past 2^31, too wide for a meter bucket word.
+    auto cfg = ddrConfig();
+    cfg.dram.tFawNs = 2147484.0;
+    EXPECT_DEATH(cfg.validate(), "must give an ACT-meter bucket below");
+    auto cfg2 = ddrConfig();
+    cfg2.dram.tFawNs = 1e300; // past the Tick range too
+    EXPECT_DEATH(cfg2.validate(), "must give an ACT-meter bucket below");
+    // 2,147,483 ns fits, and the meter backend has no ACT meter.
+    auto cfg3 = ddrConfig();
+    cfg3.dram.tFawNs = 2147483.0;
+    cfg3.validate();
+    auto cfg4 = plainConfig();
+    cfg4.dram.tFawNs = 2147484.0;
+    cfg4.validate();
+}
+
 TEST(ConfigValidateDeath, RejectsUnevenBrcSlices)
 {
     auto cfg = ddrConfig();

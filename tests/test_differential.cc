@@ -96,8 +96,9 @@ TEST_P(SetAssocDifferential, LockStepAgainstReference)
             opt.invalidateAll();
             ref.invalidateAll();
         }
-        if (i % 512 == 0)
+        if (i % 512 == 0) {
             ASSERT_EQ(opt.occupancy(), ref.occupancy()) << "op " << i;
+        }
     }
     EXPECT_EQ(opt.hits(), ref.hits());
     EXPECT_EQ(opt.misses(), ref.misses());
@@ -158,8 +159,9 @@ TEST_P(TravellerDifferential, LockStepAgainstReference)
             opt.bulkInvalidate();
             ref.bulkInvalidate();
         }
-        if (i % 512 == 0)
+        if (i % 512 == 0) {
             ASSERT_EQ(opt.occupancy(), ref.occupancy()) << "op " << i;
+        }
     }
     EXPECT_EQ(opt.hits(), ref.hits());
     EXPECT_EQ(opt.misses(), ref.misses());
@@ -284,6 +286,60 @@ TEST(BandwidthMeterDifferential, LockStepAgainstReference)
     EXPECT_EQ(opt.bucketsInUse(), ref.bucketsInUse());
     EXPECT_EQ(opt.maxBucketFill(), ref.maxBucketFill());
     EXPECT_LE(opt.maxBucketFill(), width);
+}
+
+TEST(BandwidthMeterDifferential, TfawWidthHubBacklogWithDiscards)
+{
+    // One default tFAW window (30 ns): the DDR ACT meter's bucket, the
+    // widest in the tree, whose backlog spans the most pages.
+    constexpr Tick width = 30 * ticksPerNs;
+    constexpr Tick pageTicks = 1024 * width;
+    constexpr Tick hubJitter = 4 * width;
+    BandwidthMeter opt(width);
+    check::RefBandwidthMeter ref(width);
+
+    // Rounds of overload: the hub stream asks for ~4x the capacity
+    // with starts jittered back into its own backlog (clamped up to
+    // the known-full prefix); an island stream a few pages ahead
+    // builds a second full run that the hub's frontier later crosses
+    // (the cross-page fullUpTo jump); sparse small reservations
+    // further out leave partly filled buckets that end skip chains.
+    // Between rounds the start drifts past the horizon so each
+    // round's backlog (several pages) is a fresh one.
+    Rng gen(0xfa30u);
+    Tick base = 0, island = 3 * pageTicks, horizon = 0;
+    for (std::uint64_t i = 0; i < kOps; ++i) {
+        base += gen.below(width);
+        Tick t, service;
+        const std::uint64_t kind = gen.below(16);
+        if (kind < 11) {
+            t = base - std::min(base, gen.below(hubJitter));
+            service = gen.below(4 * width) + 1;
+        } else if (kind < 15) {
+            island += gen.below(width / 2);
+            t = island + gen.below(hubJitter);
+            service = gen.below(3 * width) + 1;
+        } else {
+            t = base + gen.below(8 * pageTicks);
+            service = gen.below(width / 4) + 1;
+        }
+        const Tick begin = opt.reserve(t, service);
+        ASSERT_EQ(begin, ref.reserve(t, service)) << "op " << i;
+        horizon = std::max(horizon, begin + service);
+        if (i % 3000 == 2999) {
+            base = horizon + gen.below(4 * pageTicks);
+            island = base + 3 * pageTicks;
+        }
+        // Every later start is >= base - hubJitter (base only grows).
+        if (i % 500 == 499) {
+            opt.discardBefore(base - std::min(base, hubJitter));
+            ASSERT_EQ(opt.maxBucketFill(), ref.maxBucketFill())
+                << "op " << i;
+            ASSERT_EQ(opt.bucketsInUse(), ref.bucketsInUse())
+                << "op " << i;
+        }
+    }
+    EXPECT_EQ(opt.maxBucketFill(), width);
 }
 
 // ---- DdrBackend vs RefDdrBackend --------------------------------------

@@ -120,8 +120,9 @@ checkHarvestMatchesRegistry(const RunMetrics &m, const std::string &dump,
         auto it = reg.find(key);
         if (it == reg.end()) {
             EXPECT_NE(p, Required) << label << ": no " << key;
-            if (p == ZeroIfAbsent)
+            if (p == ZeroIfAbsent) {
                 EXPECT_EQ(v, 0.0) << label << ": " << key;
+            }
             return;
         }
         EXPECT_EQ(obs::formatStatValue(v, integer), it->second)
@@ -140,8 +141,9 @@ checkHarvestMatchesRegistry(const RunMetrics &m, const std::string &dump,
         auto it = unitSum.find(suffix);
         if (it == unitSum.end()) {
             EXPECT_NE(p, Required) << label << ": no unit*." << suffix;
-            if (p == ZeroIfAbsent)
+            if (p == ZeroIfAbsent) {
                 EXPECT_EQ(v, 0u) << label << ": " << suffix;
+            }
             return;
         }
         EXPECT_EQ(static_cast<double>(v), it->second)
