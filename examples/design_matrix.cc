@@ -4,7 +4,8 @@
  * design and print the full metric row for each — a compact view of the
  * remote-access/load-balance tradeoff the paper studies.
  *
- * Usage: design_matrix [--workload=pr] [--scale=13] [--verify=true]
+ * Usage (also printed by --help):
+ *        design_matrix [--workload=pr] [--scale=13] [--verify=true]
  *                      [--design=H|B|Sm|Sl|Sh|C|O]
  *                      [--trace-out=trace.json] [--stats-interval=N]
  *                      [--stats-out=stats.txt] [--mem-backend=meter|ddr]
@@ -22,6 +23,9 @@
  *
  * With --trace-out / --stats-out the design name is inserted before the
  * extension (trace.json -> trace.O.json), one file per Table-2 design.
+ *
+ * A flag it does not know (say, a misspelled --scael=10) fatal()s
+ * before anything runs.
  */
 
 #include <iostream>
@@ -39,6 +43,16 @@ main(int argc, char **argv)
     using namespace abndp;
 
     CliFlags flags(argc, argv);
+    if (flags.has("help")) {
+        std::cout
+            << "usage: design_matrix [--workload=pr] [--scale=13]\n"
+               "         [--edge-factor=16] [--seed=1] [--verify=true]\n"
+               "         [--design=H|B|Sm|Sl|Sh|C|O|HLB|HLB-mig]\n"
+               "         [--assert-shape] [--mem-backend=meter|ddr]\n"
+               "         [--trace-out=F] [--stats-interval=N]\n"
+               "         [--stats-out=F]\n";
+        return 0;
+    }
     WorkloadSpec spec;
     spec.name = flags.getString("workload", "pr");
     spec.scale = static_cast<std::uint32_t>(flags.getUint("scale", 13));
@@ -57,6 +71,7 @@ main(int argc, char **argv)
 
     std::vector<Design> designs = ndpDesigns();
     std::string only = flags.getString("design", "");
+    flags.rejectUnread();
     if (!only.empty()) {
         if (assertShape)
             fatal("--assert-shape needs the full matrix; drop "

@@ -91,10 +91,10 @@ class MemSystem
     void migrateBlock(Addr block, UnitId to, Tick now);
 
     /**
-     * Barrier-time storage reclamation: retire bandwidth-meter pages
-     * that no reservation can reach anymore. Called with the barrier
-     * tick (every post-barrier access starts at or after it); forwards
-     * to every DRAM channel (per-bank refresh floor applies there) and
+     * Storage reclamation: retire bandwidth-meter pages that no
+     * reservation can reach anymore. Called with the current simulated
+     * time (every later access starts at or after it); forwards to
+     * every DRAM channel (per-bank refresh floor applies there) and
      * the interconnect. Purely a memory-footprint optimization — the
      * timing and stats of every subsequent reservation are identical.
      */

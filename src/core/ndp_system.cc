@@ -80,7 +80,9 @@ NdpSystem::NdpSystem(const SystemConfig &cfg_)
       units(cfg.numUnits()),
       windowPolicy(sched.usesSchedulingWindow()),
       schedDecisionTicks(static_cast<Tick>(cfg_.sched.decisionNs
-                                           * ticksPerNs))
+                                           * ticksPerNs)),
+      exchangeTicks(cfg_.sched.exchangeIntervalCycles
+                    * cfg_.ticksPerCycle())
 {
     eq.setWatchdog(cfg.fault.watchdog.maxEpochTicks,
                    cfg.fault.watchdog.maxEpochEvents);
@@ -898,27 +900,26 @@ NdpSystem::scheduleExchange()
     if (exchangeScheduled)
         return;
     exchangeScheduled = true;
-    Tick interval = cfg.sched.exchangeIntervalCycles * cfg.ticksPerCycle();
     // Self-rescheduling chain: refresh the snapshot every interval while
     // the current epoch still has live tasks.
     struct Chain
     {
         static void
-        arm(NdpSystem &sys, Tick interval)
+        arm(NdpSystem &sys)
         {
-            sys.eq.scheduleIn(interval, [&sys, interval] {
+            sys.eq.scheduleIn(sys.exchangeTicks, [&sys] {
                 sys.sched.exchangeSnapshot(sys.eq.now());
                 if (sys.lbOn)
                     sys.runLbExchange();
                 if (sys.activeRemaining > 0) {
-                    arm(sys, interval);
+                    arm(sys);
                 } else {
                     sys.exchangeScheduled = false;
                 }
             });
         }
     };
-    Chain::arm(*this, interval);
+    Chain::arm(*this);
 }
 
 void
@@ -1184,6 +1185,7 @@ NdpSystem::batchRun(Workload &wl, RunMetrics &m)
             if (!eq.runOne())
                 dumpStallDiagnostics(
                     "deadlock: live tasks but no events", true);
+            reclaimPastPages();
             if (eq.watchdogTripped())
                 dumpStallDiagnostics(
                     logging_detail::concat(
@@ -1213,11 +1215,6 @@ NdpSystem::batchRun(Workload &wl, RunMetrics &m)
         mem.bulkInvalidate();
         for (auto &unit : units)
             unit.invalidatePrimaryData();
-        // The barrier is also a time fence: every event of the next
-        // epoch is scheduled at or after now(), so meter pages wholly
-        // below it are unreachable and their storage can be reclaimed
-        // (bounds resident pages to one epoch's backlog window).
-        mem.discardBefore(eq.now());
         wl.endEpoch(ts);
         ++ts;
         epochsDone = ts;
@@ -1291,26 +1288,35 @@ NdpSystem::serveArrival()
 }
 
 void
-NdpSystem::armServingWindow(Tick interval)
+NdpSystem::armServingWindow()
 {
     // The serving analogue of the epoch boundary, minus the barrier:
-    // the watchdog budget re-arms, the schedulers refresh their
-    // exchange snapshot, and wholly-past meter pages are reclaimed
-    // (every future event books bandwidth at t >= now, so pages below
-    // now are unreachable — the same argument the batch barrier uses).
-    // Nothing drains, and no cache is invalidated: primary data is
-    // read-only under serving, so there is no timestamp boundary.
-    eq.scheduleIn(interval, [this, interval] {
+    // the watchdog budget re-arms and the schedulers refresh their
+    // exchange snapshot. Nothing drains, and no cache is invalidated:
+    // primary data is read-only under serving, so there is no
+    // timestamp boundary.
+    eq.scheduleIn(exchangeTicks, [this] {
         ++servingWindows;
         eq.armWatchdog();
         if (windowPolicy || sched.stealingEnabled())
             sched.exchangeSnapshot(eq.now());
         if (lbOn)
             runLbExchange();
-        mem.discardBefore(eq.now());
         intervalStats(servingWindows);
-        armServingWindow(interval);
+        armServingWindow();
     });
+}
+
+void
+NdpSystem::reclaimPastPages()
+{
+    const Tick now = eq.now();
+    if (now < nextReclaimTick)
+        return;
+    // Pending events fire at or after now() and book bandwidth at or
+    // after their own tick, so pages wholly below now() are dead.
+    mem.discardBefore(now);
+    nextReclaimTick = (now / exchangeTicks + 1) * exchangeTicks;
 }
 
 void
@@ -1353,8 +1359,7 @@ NdpSystem::serveRun(Workload &wl)
         sched.exchangeSnapshot(eq.now());
     // No lb exchange here: the queues are empty until the first
     // arrival, so the first useful window is the armed one below.
-    armServingWindow(cfg.sched.exchangeIntervalCycles
-                     * cfg.ticksPerCycle());
+    armServingWindow();
     eq.schedule(srv->arrivals.nextArrival(eq.now()),
                 [this] { serveArrival(); });
 
@@ -1365,6 +1370,7 @@ NdpSystem::serveRun(Workload &wl)
         if (!eq.runOne())
             dumpStallDiagnostics(
                 "deadlock: serving stream live but no events", true);
+        reclaimPastPages();
         if (eq.watchdogTripped())
             dumpStallDiagnostics(
                 logging_detail::concat(

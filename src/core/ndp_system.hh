@@ -133,8 +133,8 @@ class NdpSystem : public TaskSink
      * The open-loop serving driver: injects cfg.serving.requests
      * independent query tasks at seeded stochastic arrival times and
      * drives the event loop without epoch drain barriers. Exchange
-     * snapshots, watchdog re-arms, and meter reclamation ride on a
-     * periodic *window* chain instead of the epoch barrier.
+     * snapshots and watchdog re-arms ride on a periodic *window* chain
+     * instead of the epoch barrier.
      */
     void serveRun(Workload &wl);
 
@@ -147,8 +147,17 @@ class NdpSystem : public TaskSink
     /** Place one admitted query task into the live queues. */
     void injectServingTask(Task &&task);
 
-    /** Self-rescheduling serving window (exchange/watchdog/reclaim). */
-    void armServingWindow(Tick interval);
+    /** Self-rescheduling serving window (exchange and watchdog). */
+    void armServingWindow();
+
+    /**
+     * Meter reclamation, run on the host after every event of the
+     * batch and serving loops: once simulated time passes the next
+     * exchange-window boundary, retire every meter page wholly below
+     * now(). Every later event books bandwidth at or after now() (the
+     * meters check it), so timing is unchanged; no event is scheduled.
+     */
+    void reclaimPastPages();
 
     /** Completion-side latency/conservation accounting (serving). */
     void recordServedCompletion(UnitId u, std::uint32_t c);
@@ -300,6 +309,8 @@ class NdpSystem : public TaskSink
     /** Unit whose task is currently being functionally executed. */
     UnitId creatorCtx = invalidUnit;
     bool exchangeScheduled = false;
+    /** reclaimPastPages() retires meter pages once now() reaches this. */
+    Tick nextReclaimTick = 0;
     /** Tick of the most recent task completion (end-to-end time). */
     Tick lastCompletionTick = 0;
     /** The active policy routes tasks through the scheduling window. */
@@ -309,6 +320,9 @@ class NdpSystem : public TaskSink
     static constexpr std::uint8_t maxForwardHops = 2;
 
     Tick schedDecisionTicks;
+    /** The exchange window in ticks: the batch exchange chain, the
+     *  serving window and meter-page reclamation all run on it. */
+    Tick exchangeTicks;
 
     // Run-wide counters.
     std::uint64_t initialSpread = 0;

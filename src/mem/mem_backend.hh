@@ -74,7 +74,7 @@ class MemBackend
     virtual void resetState() = 0;
 
     /**
-     * Retire bank-meter pages unreachable after the barrier at @p tb
+     * Retire bank-meter pages unreachable after the time fence @p tb
      * (see MeterBackend::discardBefore for the refresh-floor rule).
      */
     virtual void discardBefore(Tick tb) = 0;

@@ -38,15 +38,15 @@ class MeterBackend : public MemBackend
     void resetState() override;
 
     /**
-     * Retire bank-meter pages unreachable after the barrier at @p tb.
+     * Retire bank-meter pages unreachable after the time fence @p tb.
      *
      * Every access() reservation walks forward from its start tick,
-     * and after a bulk-synchronous barrier all future starts are
+     * and once simulated time has reached @p tb all future starts are
      * >= @p tb — except the lazy refresh catch-up, which backdates
      * reservations to bank.nextRefresh. nextRefresh is monotone, so
      * flooring each bank's discard at min(tb, nextRefresh) keeps the
      * retirement exact even for a bank whose refresh schedule lags
-     * the barrier arbitrarily far behind.
+     * the fence arbitrarily far behind.
      */
     void discardBefore(Tick tb) override;
 

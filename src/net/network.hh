@@ -86,11 +86,11 @@ class Network
     void resetState();
 
     /**
-     * Retire meter pages below the barrier tick @p tb on every link,
+     * Retire meter pages below the time fence @p tb on every link,
      * port, and ring meter. Exact: transfer() reserves hops at
      * monotonically advancing ticks starting from the packet's start,
-     * and after a barrier every future packet starts at or after
-     * @p tb, so no reservation can ever land below it.
+     * and once simulated time has reached @p tb every future packet
+     * starts at or after it, so no reservation can land below it.
      */
     void discardBefore(Tick tb);
 

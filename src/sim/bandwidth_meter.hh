@@ -254,6 +254,7 @@ class BandwidthMeter
         }
         nTouched = 0;
         minFreeBucket = 0;
+        retiredFloor = 0;
         retiredMaxFill = 0;
     }
 
@@ -262,12 +263,16 @@ class BandwidthMeter
      * when the caller guarantees every future reserve() on this meter
      * uses a start tick >= @p t: reservations only scan and pour
      * forward from their start bucket, so buckets wholly below it are
-     * unreachable and their storage can be reclaimed. Called from the
-     * bulk-synchronous barrier (a global time fence), this bounds live
-     * pages to the current epoch's backlog window instead of the whole
-     * simulated timeline — the difference between ~100 MB and ~10 GB
-     * resident at scale 20. Retired storage is stashed and recycled by
-     * ensurePage(), so steady-state epochs allocate nothing.
+     * unreachable and their storage can be reclaimed. Called once per
+     * exchange window with the current simulated time (every later
+     * event books bandwidth at or after it), this bounds live pages to
+     * the backlog ahead of now() instead of the whole simulated
+     * timeline. Retired storage is stashed and recycled by
+     * ensurePage(), so a steady-state run allocates nothing.
+     *
+     * The contract is checked: a reservation that would re-create a
+     * page wholly below the retirement floor panics (in every build
+     * type) instead of silently reading the retired buckets as empty.
      *
      * Observational state is preserved exactly: retired pages' peak
      * fill folds into maxBucketFill() and bucketsInUse() keeps its
@@ -372,12 +377,14 @@ class BandwidthMeter
      * Retire every page that ends at or below bucket @p floorBucket
      * (shared by discardBefore() and the minFreeBucket self-retire;
      * both callers guarantee no future scan or pour reaches below it).
-     * Folds retired peaks into retiredMaxFill, stashes the storage
-     * for ensurePage() reuse, and resets the page cache index.
+     * Raises retiredFloor, folds retired peaks into retiredMaxFill,
+     * stashes the storage for ensurePage() reuse, and resets the page
+     * cache index.
      */
     void
     retirePagesBelow(std::uint64_t floorBucket)
     {
+        retiredFloor = std::max(retiredFloor, floorBucket);
         std::size_t n = 0;
         while (n < pages.size()
                && pages[n].first + pageBuckets <= floorBucket)
@@ -405,6 +412,11 @@ class BandwidthMeter
             pages.begin(), pages.end(), first,
             [](const Page &p, std::uint64_t f) { return p.first < f; });
         if (it == pages.end() || it->first != first) {
+            abndp_assert(first + pageBuckets > retiredFloor,
+                         "meter page at bucket ", first,
+                         " lies wholly below the retirement floor ",
+                         retiredFloor, ": a reservation started below "
+                         "a discardBefore() tick");
             // Prefer storage retired by discardBefore(): zeroing a
             // stashed page in place reuses warm, already-faulted
             // memory instead of taking a fresh 4 KB allocation (and
@@ -440,6 +452,10 @@ class BandwidthMeter
     /** All buckets below this are full (fills are monotone between
      *  resets); lets reserve() jump the saturated backlog in O(1). */
     std::uint64_t minFreeBucket = 0;
+    /** Highest bucket pages were retired below (discardBefore() or
+     *  the minFreeBucket self-retire); no page wholly below it may be
+     *  created again until reset(). */
+    std::uint64_t retiredFloor = 0;
     std::size_t nTouched = 0;
     /** Peak fill among pages retired by discardBefore(), so the
      *  bucket-overbooking audit still sees the whole timeline. */

@@ -100,6 +100,57 @@ TEST(BandwidthMeter, WidestBucketHoldsAFullFill)
     EXPECT_EQ(m.bucketsInUse(), 2u);
 }
 
+TEST(BandwidthMeter, PageHoldingTheFenceMayStillBeCreated)
+{
+    // Bucket 1500 lies in the second 1,024-bucket page. Discarding
+    // below it retires only the first page, so the guard must let the
+    // second page be created, even by a start below the fence.
+    BandwidthMeter m(100);
+    EXPECT_EQ(m.reserve(0, 100), 0u);
+    m.discardBefore(1500 * 100);
+    EXPECT_EQ(m.reserve(1024 * 100, 100), 1024u * 100);
+    EXPECT_EQ(m.maxBucketFill(), 100u);
+    EXPECT_EQ(m.bucketsInUse(), 2u);
+}
+
+TEST(BandwidthMeter, ResetClearsTheRetirementFloor)
+{
+    // Independent runs restart at tick 0 after a reset(); the floor a
+    // discard left behind must not outlive the reservations it fenced.
+    BandwidthMeter m(100);
+    EXPECT_EQ(m.reserve(0, 100), 0u);
+    m.discardBefore(3 * 1024 * 100);
+    m.reset();
+    EXPECT_EQ(m.reserve(0, 100), 0u);
+    EXPECT_EQ(m.reserve(0, 100), 100u);
+    EXPECT_EQ(m.bucketsInUse(), 2u);
+}
+
+TEST(BandwidthMeterDeath, ReservingInARetiredPageAborts)
+{
+    // A start below a discardBefore() tick would read the retired
+    // buckets as empty and silently change timing; the meter panics.
+    EXPECT_DEATH(
+        {
+            BandwidthMeter m(100);
+            m.reserve(0, 100);
+            m.discardBefore(3 * 1024 * 100);
+            m.reserve(0, 100);
+        },
+        "below the retirement floor");
+}
+
+TEST(BandwidthMeter, StartsBelowTheSelfRetiredBacklogAreClamped)
+{
+    // The congestion cursor's self-retire raises the same floor, but
+    // reserve() clamps every start up to the cursor, so a start below
+    // it never reaches the guard.
+    BandwidthMeter m(100);
+    m.reserve(0, 2 * 1024 * 100 + 50);
+    EXPECT_EQ(m.reserve(0, 10), 2u * 1024 * 100 + 50);
+    EXPECT_EQ(m.reserve(0, 10), 2u * 1024 * 100 + 60);
+}
+
 TEST(BandwidthMeterDeath, WidthOf2To31Aborts)
 {
     EXPECT_DEATH(BandwidthMeter{BandwidthMeter::widthLimit},

@@ -268,6 +268,44 @@ TEST(DdrBackend, ResetStateReplaysIdentically)
             << "op " << i;
 }
 
+namespace
+{
+
+/**
+ * Book one access on bank 0 at tick 0, then let the bank idle while
+ * @p discarded (but not @p kept) retires its meter pages below a fence
+ * 10 ms later. The next access's lazy refresh catch-up backdates to
+ * the bank's first refresh deadline, just after tick 0; the refresh
+ * floor must keep that page, so both backends return the same tick.
+ */
+void
+expectDiscardKeepsLaggingRefresh(MemBackend &discarded, MemBackend &kept)
+{
+    const Tick fence = 10000 * 1000 * ticksPerNs;
+    EXPECT_EQ(discarded.access(0, 64, false, false, 0),
+              kept.access(0, 64, false, false, 0));
+    discarded.discardBefore(fence);
+    EXPECT_EQ(discarded.access(0, 64, false, false, fence),
+              kept.access(0, 64, false, false, fence));
+}
+
+} // namespace
+
+TEST(Dram, DiscardKeepsLaggingRefreshReachable)
+{
+    DramFixture discarded, kept;
+    ASSERT_TRUE(discarded.cfg.dram.refreshEnabled);
+    expectDiscardKeepsLaggingRefresh(discarded.dram, kept.dram);
+}
+
+TEST(DdrBackend, DiscardKeepsLaggingRefreshReachable)
+{
+    DdrFixture discarded(PagePolicy::Open, true);
+    DdrFixture kept(PagePolicy::Open, true);
+    expectDiscardKeepsLaggingRefresh(*discarded.dram, *kept.dram);
+    EXPECT_GT(discarded.dram->refreshes(), 0u);
+}
+
 TEST(DdrBackend, FactorySelectsBackendKind)
 {
     SystemConfig cfg;
